@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import CapExceededError, InvalidInputError, InvalidParameterError
 from .presentations import GroupSpec
 from .words import Alphabet, Gen, Word, invert
 
@@ -45,20 +45,20 @@ class LengthExpr:
         return expr_cmp(self, other) > 0
 
 
-def _int_str(v: int) -> str:
-    """Full decimal digits, lifting the interpreter's conversion guard
-    when a deliberately materialized value exceeds it."""
-    try:
-        return str(v)
-    except ValueError:
-        import sys
+#: bit lengths below this convert with ``str`` under any interpreter limit
+#: on decimal digits (the lowest limit it accepts is 640 digits)
+_STR_CHUNK_BITS = 2000
 
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(v.bit_length() // 3 + 16)
-        try:
-            return str(v)
-        finally:
-            sys.set_int_max_str_digits(old)
+
+def _int_str(v: int, width: int = 0) -> str:
+    """Full decimal digits, zero-padded to ``width``.  Large values are
+    split by a power of ten and converted half by half, so the
+    interpreter's digit limit never applies and is never changed."""
+    if v.bit_length() <= _STR_CHUNK_BITS:
+        return str(v).zfill(width)
+    half = int(v.bit_length() * 0.30103) // 2  # about half the digits
+    hi, lo = divmod(v, 10 ** half)
+    return _int_str(hi, max(width - half, 0)) + _int_str(lo, half)
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,8 @@ def _cmp_exact_vs_tower(c1: int, v1: int, c2: int, t2: Tower) -> int:
     # borderline: the tower exponent must be exact (else rhs is inf);
     # materialize with a raised cutoff and compare exactly
     e = t2.exponent
-    assert isinstance(e, Exact)
+    if not isinstance(e, Exact):
+        raise InvalidInputError("tower exponent is not exact at a borderline comparison")
     rhs = c2 * t2.base ** (t2.multiplier * e.value)
     return _cmp_int(c1 * v1, rhs)
 
@@ -493,6 +494,10 @@ def tower_geodesic_bounds(k_max: int) -> list[int]:
     return out
 
 
+#: cap on the letters of an explicit tower witness word: stages k <= 20
+TOWER_LETTER_CAP = 1 << 22
+
+
 def witness_tower(k: int, L: int = 14,
                   spec: GroupSpec | None = None) -> Witness:
     """w_1 = t a t^-1 and w_k = (s w_(k-1) s^-1) a (s w_(k-1)^-1 s^-1).
@@ -501,9 +506,15 @@ def witness_tower(k: int, L: int = 14,
     bound stays <= 4^k); subgroup lengths obey h_1 = L and
     h_k = L^(L * h_(k-1)): conjugating the single letter a by the
     positive stable word of length L * h_(k-1) multiplies length by L
-    that many times."""
+    that many times.  Raises :class:`CapExceededError`, before building
+    anything, when the word would exceed :data:`TOWER_LETTER_CAP`."""
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
+    letters = 2 ** (k + 2) - 5
+    if letters > TOWER_LETTER_CAP:
+        raise CapExceededError(
+            f"the stage-{k} tower word has {letters} letters, above the cap "
+            f"{TOWER_LETTER_CAP}")
     if spec is not None:
         if spec.structure != "double" or spec.params["L"] != L:
             raise InvalidInputError("spec does not match the requested double")
@@ -653,7 +664,8 @@ def upper_bound_audit(spec: GroupSpec, k_max: int, samples: int,
             continue
         kk = len(w)
         red, trace = wp.reduce(w)
-        assert all(abs(x) in wp.base_set for x in red)
+        if not all(abs(x) in wp.base_set for x in red):
+            raise InvalidInputError("a sampled word did not reduce into the base group")
         blen = len(red)
         bound_ok = blen * blen <= (L ** kk) * kk * kk
         pinches_ok = 2 * trace.pinch_count <= kk

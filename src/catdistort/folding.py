@@ -9,7 +9,10 @@ first Betti number is the subgroup rank.
 An endomorphism given by positive images of uniform length is certified
 injective by folding the rose spelling its images: the image subgroup's
 rank equals the domain rank iff no loop was killed, and a surjection
-between free groups of the same finite rank is an isomorphism.
+between free groups of the same finite rank is an isomorphism.  For a
+pair-unique family with images of length at least 3, one round of folds
+at the base vertex already yields the folded graph; that round is
+checked (:func:`fold_one_round`), and :func:`fold` is the general path.
 """
 
 from __future__ import annotations
@@ -32,29 +35,65 @@ from .words import PositiveWord, Word, check_pair_uniqueness, free_reduce, inver
 class StallingsGraph:
     """Based, directed, edge-labeled graph with per-edge provenance.
 
+    Edges are stored as the arrays ``src``, ``dst`` and ``label``.
     Provenance sets record which (petal, position) pairs of the original
-    rose an edge descends from; folds merge them.
+    rose an edge descends from; folds merge them.  The tuple view
+    :attr:`edges`, which carries them, is built on first access.
     """
 
     def __init__(self, n_vertices: int, base: int,
                  edges: Sequence[tuple[int, int, int, frozenset]],
                  folded: bool = False):
+        edges = tuple(edges)
+        cols = np.array([e[:3] for e in edges], dtype=np.int64).reshape(-1, 3)
+        self._init(n_vertices, base, cols[:, 0], cols[:, 1], cols[:, 2], folded)
+        self._edges: tuple | None = edges
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, base: int, src: np.ndarray,
+                    dst: np.ndarray, label: np.ndarray, owner: np.ndarray,
+                    petal_length: int, folded: bool) -> "StallingsGraph":
+        """Graph whose provenance is given by ``owner``: rose edge i,
+        at (petal, position) = divmod(i, petal_length), descends to edge
+        ``owner[i]``."""
+        g = cls.__new__(cls)
+        g._init(n_vertices, base, src, dst, label, folded)
+        g._edges = None
+        g._owner = owner
+        g._petal_length = petal_length
+        return g
+
+    def _init(self, n_vertices, base, src, dst, label, folded):
         self.n_vertices = n_vertices
         self.base = base
-        self.edges = tuple(edges)
+        self.src, self.dst, self.label = src, dst, label
         self.folded = folded
         self._out: dict[tuple[int, int], tuple[int, int]] | None = None
         self._in: dict[tuple[int, int], tuple[int, int]] | None = None
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.src.size)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int, frozenset], ...]:
+        if self._edges is None:
+            order = np.argsort(self._owner, kind="stable")
+            cuts = np.searchsorted(self._owner[order], np.arange(1, self.n_edges))
+            petal, pos = np.divmod(order, self._petal_length)
+            provs = [frozenset(zip(p.tolist(), q.tolist()))
+                     for p, q in zip(np.split(petal, cuts), np.split(pos, cuts))]
+            self._edges = tuple(zip(self.src.tolist(), self.dst.tolist(),
+                                    self.label.tolist(), provs))
+        return self._edges
 
     def _tables(self):
         if self._out is None:
             out: dict[tuple[int, int], tuple[int, int]] = {}
             inc: dict[tuple[int, int], tuple[int, int]] = {}
-            for idx, (u, v, lab, _) in enumerate(self.edges):
+            for idx, (u, v, lab) in enumerate(zip(self.src.tolist(),
+                                                  self.dst.tolist(),
+                                                  self.label.tolist())):
                 if self.folded and ((u, lab) in out or (v, lab) in inc):
                     raise InvalidInputError("graph marked folded but has a fold pair")
                 out[(u, lab)] = (v, idx)
@@ -77,20 +116,23 @@ class StallingsGraph:
         return v
 
     def is_connected(self) -> bool:
+        """Hook every edge's larger component label onto its smaller one
+        and compress labels to roots, until no edge joins two labels."""
         if self.n_vertices <= 1:
             return True
-        nbr: dict[int, list[int]] = {v: [] for v in range(self.n_vertices)}
-        for u, v, _, _ in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        seen = {self.base}
-        stack = [self.base]
-        while stack:
-            for w in nbr[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        comp = np.arange(self.n_vertices)
+        while True:
+            cu, cv = comp[self.src], comp[self.dst]
+            lo = np.minimum(cu, cv)
+            if np.array_equal(cu, cv):
+                return bool((comp == comp[self.base]).all())
+            np.minimum.at(comp, cu, lo)
+            np.minimum.at(comp, cv, lo)
+            while True:
+                nxt = comp[comp]
+                if np.array_equal(nxt, comp):
+                    break
+                comp = nxt
 
     def canonical_form(self) -> tuple:
         """Canonical description of the based labeled graph.
@@ -120,7 +162,8 @@ class StallingsGraph:
                     order[w] = len(order)
                     queue.append(w)
         canon_edges = sorted(
-            (order[u], order[v], lab) for u, v, lab, _ in self.edges
+            (order[u], order[v], lab) for u, v, lab in
+            zip(self.src.tolist(), self.dst.tolist(), self.label.tolist())
         )
         return (len(order), tuple(canon_edges))
 
@@ -275,6 +318,73 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
     return StallingsGraph(n_alive, base, out_edges, folded=True)
 
 
+def _first_of_class(letters: np.ndarray) -> np.ndarray:
+    """For each position, the first position holding the same letter."""
+    _, first, inv = np.unique(letters, return_index=True, return_inverse=True)
+    return first[inv]
+
+
+def fold_one_round(images) -> StallingsGraph | None:
+    """Fold the rose spelling the rows of a (k, L) positive image array
+    in one round, or return None when one round does not fold it.
+
+    The round merges the first edges that share a first letter and the
+    last edges that share a last letter, each class into the edge of its
+    smallest petal; every such merge is a fold at the base vertex.  If
+    afterwards no (vertex, direction, label) slot holds two edges, the
+    quotient is immersed and so is *the* folded graph, numbered as
+    :func:`fold` numbers it.  For L >= 3 a pair-unique family always
+    passes; L <= 2, non-positive letters and failed checks give None.
+    """
+    rows = np.asarray(images)
+    if rows.ndim != 2 or rows.shape[1] < 3 or rows.size == 0 or rows.min() < 1:
+        return None
+    k, L = rows.shape
+    # the rose: base 0, petal j's vertex after position p is inner[j, p]
+    inner = 1 + np.arange(k * (L - 1)).reshape(k, L - 1)
+    src = np.zeros((k, L), dtype=np.int64)
+    dst = np.zeros((k, L), dtype=np.int64)
+    src[:, 1:] = inner
+    dst[:, :-1] = inner
+    first = _first_of_class(rows[:, 0])
+    last = _first_of_class(rows[:, -1])
+    vclass = np.arange(1 + k * (L - 1))
+    vclass[inner[:, 0]] = inner[first, 0]
+    vclass[inner[:, -1]] = inner[last, -1]
+    survivor = np.arange(k * L).reshape(k, L)
+    survivor[:, 0] = first * L
+    survivor[:, -1] = last * L + L - 1
+    survivor = survivor.ravel()
+    alive = survivor == np.arange(k * L)
+    lab = rows.ravel()[alive]
+    qsrc = vclass[src.ravel()[alive]]
+    qdst = vclass[dst.ravel()[alive]]
+    width = int(lab.max()) + 1
+    for end in (qsrc, qdst):
+        slots = np.sort(end * width + lab)
+        if (slots[1:] == slots[:-1]).any():
+            return None
+    # fold numbers vertex classes by first appearance in base, u0, v0, u1, v1, ...
+    seq = np.concatenate(([0], np.column_stack((qsrc, qdst)).ravel()))
+    _, first_seen, inv = np.unique(seq, return_index=True, return_inverse=True)
+    renumber = np.empty(first_seen.size, dtype=np.int64)
+    renumber[np.argsort(first_seen)] = np.arange(first_seen.size)
+    ids = renumber[inv].astype(np.int32)
+    owner = (np.cumsum(alive) - 1)[survivor].astype(np.int32)
+    return StallingsGraph.from_arrays(
+        int(first_seen.size), 0, ids[1::2], ids[2::2], lab.astype(np.int32),
+        owner, L, folded=True)
+
+
+def fold_images(images) -> StallingsGraph:
+    """Folded graph of the rose spelling the rows of a positive image
+    array: by one checked round when that suffices, else by :func:`fold`."""
+    graph = fold_one_round(images)
+    if graph is None:
+        graph = fold(rose_from_words(np.asarray(images).tolist()))
+    return graph
+
+
 def rank(graph: StallingsGraph) -> int:
     """First Betti number E - V + 1 of a connected graph."""
     if not graph.is_connected():
@@ -360,7 +470,7 @@ class PositiveEndomorphism:
     def graph(self) -> StallingsGraph:
         """Folded graph of the subgroup generated by the images."""
         if self._graph is None:
-            self._graph = fold(rose_from_words(self._rows))
+            self._graph = fold_images(self.images)
         return self._graph
 
     def _tree_paths(self) -> list:

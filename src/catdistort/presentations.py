@@ -403,17 +403,48 @@ def apply_retraction(word: Sequence[int], kept: frozenset[int]) -> Word:
     return free_reduce(tuple(x for x in word if abs(x) in kept))
 
 
+def _relator_rows(level: LevelSpec) -> np.ndarray:
+    """The level's relator words as rows ``(s, b, s^-1, image^-1)``, stable
+    letter outer and base letter inner, as :meth:`GroupSpec.relators`
+    yields them."""
+    blocks = []
+    for s_id, phi in zip(level.stable_ids, level.endos):
+        rows = np.empty((phi.domain_rank, phi.length + 3), dtype=np.int64)
+        rows[:, 0] = s_id
+        rows[:, 1] = level.domain_ids
+        rows[:, 2] = -s_id
+        rows[:, 3:] = -phi.images[:, ::-1]
+        blocks.append(rows)
+    return np.vstack(blocks)
+
+
+def _reduces_to_empty(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Per row: does the subword of kept letters freely reduce to the
+    empty word?  Runs one stack per row, a column at a time."""
+    stack = np.zeros_like(rows)
+    height = np.zeros(rows.shape[0], dtype=np.int64)
+    at = np.arange(rows.shape[0])
+    for x, keep in zip(rows.T, kept.T):
+        top = stack[at, np.maximum(height - 1, 0)]
+        cancel = keep & (height > 0) & (top == -x)
+        push = keep & ~cancel
+        height[cancel] -= 1
+        stack[at[push], height[push]] = x[push]
+        height[push] += 1
+    return height == 0
+
+
 def verify_retraction(spec: GroupSpec) -> bool:
     """True iff every letter-killing retraction of the structure sends
     each relator either to itself (all letters kept: a target relator) or
     to a freely trivial word."""
-    rels = [r.word() for r in spec.relators()]
+    rels = [_relator_rows(lv) for lv in spec.levels]
     for _, kept in retractions(spec):
-        for rw in rels:
-            img = tuple(x for x in rw if abs(x) in kept)
-            if len(img) == len(rw):
-                continue  # fully retained relator of the target
-            if free_reduce(img):
+        kept_ids = np.fromiter(kept, dtype=np.int64)
+        for rows in rels:
+            keep = np.isin(np.abs(rows), kept_ids)
+            partial = ~keep.all(axis=1)
+            if not _reduces_to_empty(rows[partial], keep[partial]).all():
                 return False
     return True
 

@@ -264,10 +264,20 @@ def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
     """Census every ordered length-2 subword across the family.
 
     Each word contributes its consecutive pairs; pairs straddling word
-    boundaries are not counted.  ``ok`` iff no pair occurs twice.
+    boundaries are not counted.  ``ok`` iff no pair occurs twice.  A 2-D
+    array is censused whole, with one sort of its pair keys.
     """
     if len(words) == 0:
         raise InvalidInputError("empty word family")
+    if isinstance(words, np.ndarray) and words.ndim == 2:
+        if words.shape[1] == 0:
+            raise InvalidInputError("empty word in family")
+        arr = words.astype(np.int64, copy=False)
+        if arr.min() < 1:
+            raise InvalidInputError("pair census is defined for positive words")
+        mod = int(arr.max())
+        keys = ((arr[:, :-1] - 1) * mod + (arr[:, 1:] - 1)).ravel()
+        return _census(keys, mod)
     arrays = []
     max_id = 0
     for w in words:
@@ -280,16 +290,16 @@ def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
             arrays.append(arr)
         max_id = max(max_id, int(arr.max()))
     mod = max(max_id, 1)
-    total = 0
-    if arrays:
-        firsts = np.concatenate([a[:-1] for a in arrays])
-        seconds = np.concatenate([a[1:] for a in arrays])
-        total = int(firsts.size)
-        keys = (firsts - 1) * mod + (seconds - 1)
-        uniq, counts = np.unique(keys, return_counts=True)
-    else:
-        uniq = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
+    if not arrays:
+        return _census(np.empty(0, dtype=np.int64), mod)
+    firsts = np.concatenate([a[:-1] for a in arrays])
+    seconds = np.concatenate([a[1:] for a in arrays])
+    return _census((firsts - 1) * mod + (seconds - 1), mod)
+
+
+def _census(keys: np.ndarray, mod: int) -> PairReport:
+    """The report on encoded pair keys ``(first - 1) * mod + second - 1``."""
+    uniq, counts = np.unique(keys, return_counts=True)
     bad = counts > 1
     duplicates = tuple(
         ((int(k // mod + 1), int(k % mod + 1)), int(c))
@@ -298,7 +308,7 @@ def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
     return PairReport(
         ok=not bool(bad.any()),
         duplicates=duplicates,
-        total_positions=total,
+        total_positions=int(keys.size),
         distinct_pairs=int(uniq.size),
         _keys=uniq,
         _counts=counts,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,13 @@ class TestWitness:
         code, _ = run(["witness", "--block", "1", "14", "14"])
         assert code == 2
 
+    def test_tower_word_over_budget_exits_cap(self, capsys):
+        # w_30 would have 2^32 - 5 letters; the cap stops it before any
+        # letter is built
+        code, out = run(["witness", "--double", "9", "27", "3", "--k", "30"])
+        assert code == 3 and out == ""
+        assert "4294967291 letters" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_stallings(self):
@@ -189,3 +197,23 @@ class TestDeterminism:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.strip() == "a1 a1 a2 a2"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenBytes:
+    """Output bytes recorded before certification moved to one-round
+    folding on arrays; the fast path must not change a byte."""
+
+    @pytest.mark.parametrize("args,name", [
+        (["export-dot", "--block", "1", "14", "14", "--what", "stallings",
+          "--index", "0"], "block_1_14_14_stallings_0.dot"),
+        (["export-dot", "--chain", "2", "5", "--what", "stallings"],
+         "chain_2_5_stallings.dot"),
+        (["verify", "--chain", "2", "5", "--full"], "verify_chain_2_5_full.json"),
+    ])
+    def test_same_bytes(self, tmp_path, args, name):
+        out = tmp_path / name
+        run(args + ["--out", str(out)])
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()

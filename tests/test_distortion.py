@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -22,7 +23,7 @@ from catdistort.distortion import (
     witness_chain,
     witness_tower,
 )
-from catdistort.errors import InvalidInputError, InvalidParameterError
+from catdistort.errors import CapExceededError, InvalidInputError, InvalidParameterError
 from catdistort.navigator import measure_distortion, to_base
 from catdistort.presentations import (
     BlockParams,
@@ -67,6 +68,25 @@ class TestCalculus:
         mpmath.mp.dps = 50
         lead = mpmath.mpf(10) ** (196 * mpmath.log10(14) - 224)
         assert str(lead)[:7] == f"{s[0]}.{s[1:6]}"
+
+    def test_decimal_digits_leave_interpreter_limit(self, monkeypatch):
+        before = sys.get_int_max_str_digits()
+        text = str(Exact(10 ** 5000))
+        assert text == "1" + "0" * 5000
+        assert sys.get_int_max_str_digits() == before
+
+        def refuse(_):
+            raise AssertionError("process-global digit limit changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        v = 7 ** 20_000 + 10 ** 3000
+        text = str(Exact(v))
+        back = 0
+        for i in range(0, len(text), 1000):  # int() of short pieces only
+            chunk = text[i:i + 1000]
+            back = back * 10 ** len(chunk) + int(chunk)
+        assert back == v and text[0] != "0"
+        assert expr_to_dict(Exact(v))["value"] == text
 
     def test_comparisons_exact(self):
         assert expr_cmp(Exact(5), Exact(7)) < 0
@@ -188,6 +208,13 @@ class TestTowerWitness:
         w2 = witness_tower(2, 14)
         assert w2.word_length == 11
         assert normalize(w2.subgroup_length) == Exact(14 ** 196)
+
+    def test_letter_budget_checked_first(self):
+        # w_21 has 2^23 - 5 letters, twice the cap; nothing is built
+        with pytest.raises(CapExceededError, match="8388603 letters"):
+            witness_tower(21, 14)
+        with pytest.raises(CapExceededError):
+            witness_tower(30, 14)
 
     def test_third_stage_symbolic(self):
         w3 = normalize(witness_tower(3, 14).subgroup_length)

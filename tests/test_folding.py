@@ -9,12 +9,25 @@ from catdistort.folding import (
     PositiveEndomorphism,
     certify_injective,
     fold,
+    fold_images,
+    fold_one_round,
     membership,
     rank,
     rewrite_preimage,
     rose_from_words,
 )
-from catdistort.words import chop, free_reduce, invert, sigma_ids
+from catdistort.presentations import (
+    BlockParams,
+    GroupSpec,
+    LevelSpec,
+    build_block,
+    build_chain,
+    build_double,
+    free_group,
+    retractions,
+    verify_retraction,
+)
+from catdistort.words import check_pair_uniqueness, chop, free_reduce, invert, sigma_ids
 
 
 def sigma_family(m, L, k):
@@ -320,3 +333,154 @@ def test_round_trip_hypothesis(letters):
     phi = PositiveEndomorphism(fam)
     v = free_reduce(letters)
     assert rewrite_preimage(phi, free_reduce(phi.apply(v))) == v
+
+
+# -- array-native certification, against the general paths -----------------
+
+
+def assert_same_as_fold(rows):
+    """The one-round graph equals fold's, edge for edge and id for id."""
+    fast = fold_one_round(rows)
+    ref = fold(rose_from_words(np.asarray(rows).tolist()))
+    assert fast is not None
+    assert fast.edges == ref.edges
+    assert (fast.n_vertices, fast.n_edges, fast.base) == (
+        ref.n_vertices, ref.n_edges, ref.base)
+    assert fast.canonical_form() == ref.canonical_form()
+    assert rank(fast) == rank(ref)
+
+
+@st.composite
+def pair_unique_families(draw):
+    """Chunks of the square word over a shuffled alphabet, in drawn order."""
+    L = draw(st.integers(3, 6))
+    m = draw(st.integers(3, 9))
+    letters = draw(st.permutations(range(1, m + 1)))
+    offset = draw(st.integers(0, 5))
+    word = np.asarray(letters)[sigma_ids(m) - 1] + offset
+    chunks = chop(tuple(word.tolist()), L, m * m // L)
+    pick = draw(st.lists(st.integers(0, len(chunks) - 1), min_size=1,
+                         unique=True))
+    return np.array([chunks[i] for i in pick])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_unique_families())
+def test_one_round_matches_fold_hypothesis(rows):
+    assert check_pair_uniqueness(rows).ok
+    assert_same_as_fold(rows)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_chain(2, 14, certify=False),
+    lambda: build_chain(3, 5, certify=False),
+    lambda: build_block(BlockParams(3, 42, 14), certify=False),
+    lambda: build_double(9, 27, 3, certify=False),
+], ids=["chain-2-14", "chain-3-5", "block-3-42-14", "double-9-27-3"])
+def test_one_round_matches_fold_on_built_groups(build):
+    for lv in build().levels:
+        for phi in lv.endos:
+            assert_same_as_fold(phi.images)
+
+
+def test_one_round_matches_fold_on_paper_maps():
+    d = build_double(196, 2744, 14, certify=False)
+    assert_same_as_fold(d.levels[1].endos[39].images)  # t40
+    assert_same_as_fold(d.levels[0].endos[0].images)   # s
+
+
+@pytest.mark.parametrize("rows", [
+    [(1,), (1,)],
+    [(1, 2), (2, 1)],
+    [tuple(r) for r in sigma_family(8, 2, 32)[24:]],  # the L = 2 rectangle
+])
+def test_short_images_go_through_fold(rows):
+    assert fold_one_round(np.array(rows)) is None
+    phi = PositiveEndomorphism(rows)
+    assert phi.graph.edges == fold(rose_from_words(rows)).edges
+
+
+@pytest.mark.parametrize("rows,refused", [
+    ([(1, 2, 3), (1, 2, 4)], True),        # repeated pair after a shared first letter
+    ([(3, 2, 1), (4, 2, 1)], True),        # repeated pair before a shared last letter
+    ([(1, 2, 3, 4), (5, 2, 3, 6)], False),  # the rose is already folded
+    ([(1, 2, 3, 1, 2, 4)], False),
+])
+def test_one_round_refuses_repeated_pairs(rows, refused):
+    # called directly, past the constructor's pair census
+    rows = np.array(rows)
+    assert not check_pair_uniqueness(rows).ok
+    fast = fold_one_round(rows)
+    ref = fold(rose_from_words(rows.tolist()))
+    if refused:
+        assert fast is None
+    else:
+        assert fast.edges == ref.edges and fast.n_vertices == ref.n_vertices
+    assert fold_images(rows).edges == ref.edges
+
+
+def test_certificate_holds_arrays_only():
+    phi = PositiveEndomorphism(sigma_family(14, 14, 14))
+    cert = certify_injective(phi)
+    assert cert.injective and cert.folded_rank == 14
+    assert cert.graph._edges is None  # no per-edge tuples were built
+    assert len(cert.graph.edges) == cert.graph.n_edges
+
+
+def test_census_array_matches_ragged_path():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        k, L, m = rng.integers(1, 8), rng.integers(1, 7), rng.integers(1, 9)
+        arr = rng.integers(1, m + 1, size=(k, L))
+        fast, ref = check_pair_uniqueness(arr), check_pair_uniqueness(arr.tolist())
+        assert (fast.ok, fast.duplicates, fast.total_positions,
+                fast.distinct_pairs) == (ref.ok, ref.duplicates,
+                                         ref.total_positions, ref.distinct_pairs)
+        assert list(fast.items()) == list(ref.items())
+    with pytest.raises(InvalidInputError):
+        check_pair_uniqueness(np.array([[1, 0, 2]]))
+    with pytest.raises(InvalidInputError):
+        check_pair_uniqueness(np.empty((2, 0), dtype=np.int64))
+
+
+def _retraction_by_relators(spec):
+    """The relator-by-relator check the vectorized one replaced."""
+    for _, kept in retractions(spec):
+        for r in spec.relators():
+            rw = r.word()
+            img = tuple(x for x in rw if abs(x) in kept)
+            if len(img) != len(rw) and free_reduce(img):
+                return False
+    return True
+
+
+def _chain_with_t_in_an_image():
+    c = build_chain(2, 3, certify=False)
+    top, low = c.levels
+    images = low.endos[0].images.copy()
+    images[0, 1] = 1  # the stable letter t inside a level-1 image
+    endos = (PositiveEndomorphism(images),) + low.endos[1:]
+    bad = LevelSpec(low.stable_ids, low.domain_ids, low.codomain_ids, endos,
+                    low.dom_kind, low.cod_kind)
+    return GroupSpec(c.structure, c.params, c.alphabet, [top, bad], c.base_ids,
+                     c.base_free_ids, c.convex_ids, c.target_ids)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_block(BlockParams(1, 14, 14), certify=False),
+    lambda: build_block(BlockParams(1, 2, 2), certify=False),
+    lambda: build_block(BlockParams(3, 42, 14), certify=False),
+    lambda: build_chain(2, 2, certify=False),
+    lambda: build_chain(2, 14, certify=False),
+    lambda: build_chain(3, 5, certify=False),
+    lambda: build_double(9, 27, 3, certify=False),
+    lambda: free_group(3),
+    _chain_with_t_in_an_image,
+])
+def test_retraction_matches_relator_loop(build):
+    spec = build()
+    assert verify_retraction(spec) == _retraction_by_relators(spec)
+
+
+def test_retraction_fails_with_t_in_an_image():
+    assert not verify_retraction(_chain_with_t_in_an_image())
