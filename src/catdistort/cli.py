@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import presentations as P
 from . import linkgeom as LG
@@ -34,24 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: everything needed to reproduce a run."""
-
-    subcommand: str
-    source: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    ball_cap: int = 1_000_000
-    full: bool = False
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.ball_cap <= 0:
-            raise InvalidParameterError("caps must be positive")
 
 
 def _add_group_args(p: argparse.ArgumentParser):

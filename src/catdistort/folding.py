@@ -551,11 +551,6 @@ class PositiveEndomorphism:
             return tuple(out)
         return free_reduce(out)
 
-    def apply_positive_array(self, arr: np.ndarray) -> np.ndarray:
-        """Fast path: image of a positive word given as an id array.
-        Positive words never cancel, so this is a pure gather."""
-        return self.images[np.asarray(arr, dtype=np.int64) - 1].ravel()
-
     def membership(self, word: Sequence[int]) -> bool:
         return membership(self.graph, word)
 

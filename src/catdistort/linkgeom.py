@@ -341,8 +341,7 @@ class LinkGraph:
             order = np.argsort(src, kind="stable")
             src, dst = src[order], dst[order]
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, src + 1, 1)
-            np.cumsum(indptr, out=indptr)
+            np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
             self._csr = (indptr, dst, n)
         return self._csr
 
@@ -559,6 +558,8 @@ def check_large_link(link: LinkGraph) -> GirthReport:
     if dup.any():
         k = int(uniq[dup][0])
         return _report(False, 2, (k // n, k % n), link)
+    # with no key repeated, uniq is the array _keys() would sort again
+    link._sorted_keys, link._key_mod = uniq, n
     # length 3: triangles
     cb = link.chord_base
     both_dir = (e[:, 0] < cb) & (e[:, 1] < cb)
@@ -645,30 +646,47 @@ class SeparationReport:
 
 def check_separation(link: LinkGraph, marked: Sequence[int]) -> SeparationReport:
     """BFS to depth 3 from every marked direction; ok iff no other marked
-    direction is reached (all pairwise distances >= 4 = 2*pi)."""
+    direction is reached (all pairwise distances >= 4 = 2*pi).
+
+    Sources run in increasing id order.  Each BFS level gathers the CSR
+    rows of its frontier in frontier order, so vertices are discovered in
+    the order of a queue-based BFS; the witness is the first marked vertex
+    discovered at the smallest depth, from the first source reaching it.
+    Marked ids outside the link's vertex range are never reached and
+    start no search."""
     marked = np.asarray(sorted(set(int(x) for x in marked)), dtype=np.int64)
     if marked.size == 0:
         raise InvalidInputError("marked set is empty")
+    if marked[0] < 0:
+        raise InvalidInputError(f"negative direction id {int(marked[0])}")
     indptr, dst, n = link.csr()
-    marked_set = set(marked.tolist())
+    sources = marked[marked < n]
+    is_marked = np.zeros(n, dtype=bool)
+    is_marked[sources] = True
     best: tuple[int, int, int] | None = None  # (dist, src, tgt)
-    for src in marked.tolist():
-        if src >= n:
-            continue
-        dist = {src: 0}
-        frontier = [src]
-        for depth in range(1, 4):
-            nxt = []
-            for x in frontier:
-                for y in dst[indptr[x]:indptr[x + 1]].tolist():
-                    if y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        if y in marked_set and (best is None or depth < best[0]):
-                            best = (depth, src, y)
-            frontier = nxt
-            if best is not None and best[0] <= depth:
+    for src in sources.tolist():
+        # only a strictly shorter distance can replace the witness
+        max_depth = 3 if best is None else best[0] - 1
+        seen = np.zeros(n, dtype=bool)
+        seen[src] = True
+        frontier = np.array([src], dtype=np.int64)
+        for depth in range(1, max_depth + 1):
+            # the frontier's CSR rows, concatenated in frontier order
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            offsets = np.cumsum(counts) - counts
+            reached = dst[np.repeat(starts - offsets, counts)
+                          + np.arange(int(counts.sum()))]
+            reached = reached[~seen[reached]]
+            hits = np.flatnonzero(is_marked[reached])
+            if hits.size:
+                best = (depth, src, int(reached[hits[0]]))
                 break
+            if depth == max_depth:
+                break
+            _, first = np.unique(reached, return_index=True)
+            frontier = reached[np.sort(first)]
+            seen[frontier] = True
     if best is None:
         return SeparationReport(True, None, None, None, int(marked.size))
     d, a, b = best

@@ -16,12 +16,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CapExceededError, InvalidInputError
 from .folding import PositiveEndomorphism
 from .presentations import GroupSpec, retractions
 from .words import Word, free_reduce, invert
 
 _NP_APPLY_THRESHOLD = 1024
+
+#: cap on the letters one forward pinch may produce (t u t^-1 -> phi(u))
+REDUCE_LETTER_CAP = 1 << 22
+
+
+def _check_expansion(n_letters: int, endo: PositiveEndomorphism) -> None:
+    """Raise :class:`CapExceededError` before expanding an n-letter
+    segment to more than :data:`REDUCE_LETTER_CAP` letters."""
+    if n_letters * endo.length > REDUCE_LETTER_CAP:
+        raise CapExceededError(
+            f"a forward pinch would expand {n_letters} letters to "
+            f"{n_letters * endo.length}, above the cap {REDUCE_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,7 @@ class WordProblem:
             c = self._dom_accept(lvl, u)
             if c is None:
                 return None, "forward"
+            _check_expansion(len(c), endo)
             local = [x // abs(x) * lvl.dom_pos[abs(x)] for x in c]
             return self._apply(endo, local), "forward"
         # t^-1 u t with u in the image subgroup: rewrite back
@@ -180,6 +193,7 @@ class WordProblem:
                     endo = endos[stable[g]]
                     repl = None
                     if x < 0:
+                        _check_expansion(len(u), endo)
                         local = [y // abs(y) * dom_pos[abs(y)] for y in u]
                         repl = endo.apply(local)
                     elif endo.membership(u):
@@ -328,6 +342,7 @@ class WordProblem:
             if x < 0:
                 # pending t^-1 = t^-1 phi(pending)
                 out.append(x)
+                _check_expansion(len(pending), endo)
                 local = [y // abs(y) * lvl.dom_pos[abs(y)] for y in pending]
                 pending = list(endo.apply(local))
             else:
@@ -364,11 +379,6 @@ class WordProblem:
         the same sequence, so this is a group-element invariant."""
         stable = self.spec.stable_id_set()
         return tuple(x for x in reduced if abs(x) in stable)
-
-    def invariant_key(self, reduced: Word):
-        if all(abs(x) in self.base_set for x in reduced):
-            return ("F", reduced)
-        return ("hnn", self.psi_word(reduced), self.ab_residue(reduced))
 
 
 class _AbelianLattice:

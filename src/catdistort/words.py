@@ -165,19 +165,6 @@ def free_reduce(word: Sequence[int]) -> Word:
     return tuple(stack)
 
 
-def free_reduce_list(word: list[int]) -> list[int]:
-    """In-place-style variant of :func:`free_reduce` returning a list."""
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for x in word:
-        if stack and stack[-1] == -x:
-            pop()
-        else:
-            push(x)
-    return stack
-
-
 def is_reduced(word: Sequence[int]) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
@@ -188,13 +175,6 @@ def invert(word: Sequence[int]) -> Word:
 
 def is_positive(word: Sequence[int]) -> bool:
     return all(x > 0 for x in word)
-
-
-def concat_positive(u: PositiveWord, v: PositiveWord) -> PositiveWord:
-    """Concatenation of positive words; never cancels, lengths add."""
-    if not (is_positive(u) and is_positive(v)):
-        raise InvalidInputError("concat_positive requires positive words")
-    return tuple(u) + tuple(v)
 
 
 # -- the square-length word with unique two-letter subwords ---------------

@@ -111,6 +111,26 @@ class TestReduce:
         code, _ = run(["reduce", "--block", "1", "2", "2", "--word", "zz"])
         assert code == 1  # invalid input inside a valid invocation
 
+    def test_expansion_over_budget_exits_cap(self):
+        # t^30 a t^-30 would expand to 14^30 letters; the letter budget
+        # stops the sixth forward pinch (14^6 letters) before it expands.
+        # The child's address space is capped so that a missing budget
+        # fails the test instead of exhausting memory.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        word = " ".join(["t1"] * 30 + ["a1"] + ["t1^-1"] * 30)
+        out = subprocess.run([sys.executable, "-m", "catdistort.cli",
+                              "reduce", "--block", "1", "14", "14",
+                              "--word", word],
+                             capture_output=True, text=True,
+                             preexec_fn=limit, timeout=120)
+        assert out.returncode == 3 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("cap exceeded: ")
+
 
 class TestBall:
     def test_small_ball(self):

@@ -1,11 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from catdistort.errors import InvalidParameterError
+from catdistort.errors import InvalidInputError, InvalidParameterError
 from catdistort.linkgeom import (
     LinkGraph,
+    SeparationReport,
     build_level_link,
     build_link,
     check_cell_contract,
@@ -201,6 +204,13 @@ class TestGirth:
         rep = check_large_link(bad)
         assert not rep.ok and rep.combinatorial_girth == 2
 
+    def test_sorted_keys_left_by_girth_check(self):
+        link = build_link(build_block(BlockParams(2, 28, 14)))
+        assert check_large_link(link).ok
+        fresh = LinkGraph(link.n_gens, link.edges, link.chord_base)
+        assert np.array_equal(link._keys(), fresh._keys())
+        assert link._key_mod == fresh._key_mod
+
     def test_monotone_adding_cells(self):
         # girth can only drop (or stay) as cells accumulate
         spec = build_block(BlockParams(2, 28, 14))
@@ -241,6 +251,145 @@ class TestSeparation:
         d_full = 4 if full.min_distance is None else full.min_distance
         d_sub = 4 if sub.min_distance is None else sub.min_distance
         assert d_sub >= d_full
+
+
+def _separation_reference(link, marked):
+    """Queue-based BFS over dict distances: the separation checker's
+    reference.  Sources in increasing id order, neighbours in CSR order;
+    the first marked vertex discovered at the smallest depth wins."""
+    marked = np.asarray(sorted(set(int(x) for x in marked)), dtype=np.int64)
+    if marked.size == 0:
+        raise InvalidInputError("marked set is empty")
+    indptr, dst, n = link.csr()
+    marked_set = set(marked.tolist())
+    best = None  # (dist, src, tgt)
+    for src in marked.tolist():
+        if src >= n:
+            continue
+        dist = {src: 0}
+        frontier = [src]
+        for depth in range(1, 4):
+            nxt = []
+            for x in frontier:
+                for y in dst[indptr[x]:indptr[x + 1]].tolist():
+                    if y not in dist:
+                        dist[y] = depth
+                        nxt.append(y)
+                        if y in marked_set and (best is None or depth < best[0]):
+                            best = (depth, src, y)
+            frontier = nxt
+            if best is not None and best[0] <= depth:
+                break
+    if best is None:
+        return SeparationReport(True, None, None, None, int(marked.size))
+    d, a, b = best
+    return SeparationReport(
+        False, d, (a, b),
+        (link.vertex_name(a), link.vertex_name(b)), int(marked.size),
+    )
+
+
+@st.composite
+def multigraphs(draw):
+    """Edges over a few vertices, with self-loops and doubled edges, plus
+    a marked set that may hold isolated ids and ids past the last vertex."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    # sparse enough that many marked pairs sit at distance 2 or 3
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    edges = draw(st.permutations(edges))
+    marked = draw(st.lists(st.integers(0, n + 4), min_size=1, max_size=10))
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return LinkGraph(0, arr, 0), marked
+
+
+class TestSeparationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_random_multigraphs(self, case):
+        link, marked = case
+        assert check_separation(link, marked) == _separation_reference(link, marked)
+
+    def test_seeded_random_multigraphs(self):
+        # about one graph in a hundred has two marked vertices at the
+        # smallest distance behind different frontier vertices, where the
+        # frontier order decides the witness; a fixed sweep meets dozens
+        rng = random.Random(20)
+        for _ in range(3000):
+            n = rng.randint(1, 40)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            link = LinkGraph(0, np.asarray(edges, dtype=np.int64).reshape(-1, 2), 0)
+            marked = [rng.randrange(n + 5) for _ in range(rng.randint(1, 10))]
+            assert check_separation(link, marked) == \
+                _separation_reference(link, marked), (edges, marked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs())
+    def test_csr_rows_in_edge_order(self, case):
+        link, _ = case
+        rows = {}
+        for a, b in link.edges.tolist():
+            rows.setdefault(a, []).append(b)
+        for a, b in link.edges.tolist():
+            rows.setdefault(b, []).append(a)
+        indptr, dst, n = link.csr()
+        for v in range(n):
+            assert link.neighbors(v).tolist() == rows.get(v, [])
+
+    def test_paper_chain_level_link(self):
+        lk = build_level_link(build_chain(2, 14, certify=False), 1)
+        marked = lk.marked["stable-0"]
+        rep = check_separation(lk, marked)
+        assert rep == _separation_reference(lk, marked)
+        assert rep.ok and rep.n_marked == 28
+
+    @pytest.mark.parametrize("L", [5, 8, 11])
+    def test_smallest_doubles(self, L):
+        # the smallest doubles at L = 5, 8, 11 fail separation, so the
+        # witness pairs are compared too
+        d = build_double(L * L, L ** 3, L, certify=False)
+        link = build_link(d)
+        convex = [link.dir_id(g, e) for g in d.convex_ids for e in (0, 1)]
+        for marked in (convex, link.marked["stable-0"], link.marked["stable-1"]):
+            rep = check_separation(link, marked)
+            assert rep == _separation_reference(link, marked)
+            assert not rep.ok
+
+
+class TestSeparationEdgeCases:
+    def path(self, k):
+        """The path 0 - 1 - ... - k."""
+        return LinkGraph(0, np.array([[i, i + 1] for i in range(k)]), 0)
+
+    def test_empty_marked_set(self):
+        with pytest.raises(InvalidInputError):
+            check_separation(self.path(2), [])
+
+    def test_negative_id(self):
+        with pytest.raises(InvalidInputError):
+            check_separation(self.path(2), [-1, 0])
+
+    def test_marked_id_beyond_csr_is_skipped(self):
+        rep = check_separation(self.path(2), [0, 7])
+        assert rep.ok and rep.min_distance is None and rep.n_marked == 2
+
+    def test_distance_three_reported(self):
+        rep = check_separation(self.path(3), [3, 0])
+        assert not rep.ok and rep.min_distance == 3
+        assert rep.witness_pair == (0, 3)
+
+    def test_witness_follows_discovery_order(self):
+        # 0 reaches 5 before 3, so 10 (behind 5) is found before 9
+        g = LinkGraph(0, np.array([[0, 5], [0, 3], [3, 9], [5, 10]]), 0)
+        rep = check_separation(g, [0, 9, 10])
+        assert rep.min_distance == 2 and rep.witness_pair == (0, 10)
+
+    def test_distance_four_passes(self):
+        rep = check_separation(self.path(4), [0, 4])
+        assert rep.ok and rep.min_distance is None and rep.witness_pair is None
 
 
 class TestChainGluing:
