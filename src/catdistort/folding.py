@@ -13,6 +13,8 @@ between free groups of the same finite rank is an isomorphism.  For a
 pair-unique family with images of length at least 3, one round of folds
 at the base vertex already yields the folded graph; that round is
 checked (:func:`fold_one_round`), and :func:`fold` is the general path.
+On such a graph a preimage is read off the petal edges that one trace
+crosses and checked by applying the map; a chunk parse is the fallback.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class StallingsGraph:
         self.base = base
         self.src, self.dst, self.label = src, dst, label
         self.folded = folded
+        self._owner: np.ndarray | None = None
         self._out: dict[tuple[int, int], tuple[int, int]] | None = None
         self._in: dict[tuple[int, int], tuple[int, int]] | None = None
 
@@ -556,19 +559,66 @@ class PositiveEndomorphism:
 
     # -- inverting -------------------------------------------------------
 
+    def _petal_letters(self) -> list[int] | None:
+        """Per folded edge, j + 1 on the edge that petal j's rose edge at
+        position 1 descends to, else 0; None unless the graph was folded
+        in one round.  After one round (L >= 3) that edge is petal j's
+        alone, so a reduced loop at the base crosses these edges in the
+        order, and with the signs, of the reduced preimage's letters."""
+        if getattr(self, "_petal_cache", None) is None:
+            g, k = self.graph, self.domain_rank
+            self._petal_cache = ()
+            if g._owner is not None:
+                letters = np.zeros(g.n_edges, dtype=np.int64)
+                letters[g._owner[np.arange(k) * self.length + 1]] = np.arange(1, k + 1)
+                self._petal_cache = letters.tolist()
+        return self._petal_cache or None
+
     def preimage(self, word: Sequence[int]) -> Word:
         """The unique v with phi(v) = word, for injective phi.
 
-        Parses the word into image chunks with bounded junction
-        cancellation; candidates are seeded by the first/last-letter index
-        of the image family, with full backtracking as a fallback.
-        Raises :class:`NotInImageError` when no parse exists.
+        Raises :class:`NotInImageError` when no preimage exists; see
+        :meth:`try_preimage`.
+        """
+        v = self.try_preimage(word)
+        if v is None:
+            raise NotInImageError("word does not trace a closed base path")
+        return v
+
+    def try_preimage(self, word: Sequence[int]) -> Word | None:
+        """The preimage of word, or None when the reduced word does not
+        trace a closed path at the base (it is not in the image).
+
+        One trace of the folded graph decides membership and, on a graph
+        folded in one round, reads the preimage off the petal edges it
+        crosses; the read is kept only if phi maps it back to the word.
+        Otherwise the word is parsed into image chunks.
         """
         w = free_reduce(word)
         if not w:
             return ()
-        if not self.membership(w):
-            raise NotInImageError("word does not trace a closed base path")
+        graph = self.graph
+        out, inc = graph._tables()
+        petal = self._petal_letters()
+        read: list[int] = []
+        v = graph.base
+        for x in w:
+            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
+            if hop is None:
+                return None
+            v, e = hop
+            if petal is not None and petal[e]:
+                read.append(petal[e] if x > 0 else -petal[e])
+        if v != graph.base:
+            return None
+        if petal is not None and self.apply(read) == w:
+            return tuple(read)
+        return self._parse_in_phases(w)
+
+    def _parse_in_phases(self, w: Word) -> Word:
+        """Parse a reduced word that traces a closed base path into image
+        chunks: the fallback of :meth:`try_preimage`, and the tests'
+        oracle for the graph read."""
         L = self.length
         # Phase 1: first-letter-seeded candidates only; complete for L >= 3
         # because junction cancellation cannot reach a chunk's first letter.

@@ -118,7 +118,7 @@ class WordProblem:
         k = lvl.index
         if lvl.dom_kind == "base":
             return u  # segments at a base level are already domain words
-        w = self._reduce(list(u), k + 1, None)
+        w = self._reduce(list(u), k + 1, None)[0]
         if all(abs(x) in lvl.dom_set for x in w):
             return w
         if lvl.dom_kind == "reduce":
@@ -128,7 +128,7 @@ class WordProblem:
         c = free_reduce(c)
         probe = list(w)
         _merge(probe, invert(c))
-        if self._reduce(probe, k + 1, None):
+        if self._reduce(probe, k + 1, None)[0]:
             return None
         return list(c)
 
@@ -137,7 +137,7 @@ class WordProblem:
         k = lvl.index
         if lvl.cod_kind == "base":
             return u
-        w = self._reduce(list(u), k + 1, None)
+        w = self._reduce(list(u), k + 1, None)[0]
         if all(abs(x) in lvl.cod_set for x in w):
             return w
         if lvl.cod_kind == "reduce":
@@ -146,7 +146,7 @@ class WordProblem:
         c = free_reduce(c)
         probe = list(w)
         _merge(probe, invert(c))
-        if self._reduce(probe, k + 1, None):
+        if self._reduce(probe, k + 1, None)[0]:
             return None
         return list(c)
 
@@ -167,16 +167,17 @@ class WordProblem:
         c = self._cod_accept(lvl, u)
         if c is None:
             return None, "backward"
-        if not endo.membership(c):
+        local = endo.try_preimage(c)
+        if local is None:
             return None, "backward"
-        local = endo.preimage(c)
         dom = lvl.domain_ids
         return [x // abs(x) * dom[abs(x) - 1] for x in local], "backward"
 
-    def _reduce_block_flat(self, letters) -> list[int]:
+    def _reduce_block_flat(self, letters) -> tuple[list[int], bool]:
         """Allocation-light scan for the common single-level shape
         (stable letters over a free base); semantics identical to the
-        generic reducer, which the test suite cross-checks."""
+        generic reducer, which the test suite cross-checks.  Returns the
+        reduced word and whether a stable letter survived."""
         lvl = self.levels[0]
         stable = lvl.stable
         endos = lvl.endos
@@ -196,9 +197,10 @@ class WordProblem:
                         _check_expansion(len(u), endo)
                         local = [y // abs(y) * dom_pos[abs(y)] for y in u]
                         repl = endo.apply(local)
-                    elif endo.membership(u):
-                        pre = endo.preimage(tuple(u))
-                        repl = [y // abs(y) * dom[abs(y) - 1] for y in pre]
+                    else:
+                        pre = endo.try_preimage(u)
+                        if pre is not None:
+                            repl = [y // abs(y) * dom[abs(y) - 1] for y in pre]
                     if repl is not None:
                         del stack[oi:]
                         marks.pop()
@@ -214,12 +216,14 @@ class WordProblem:
                 stack.pop()
             else:
                 stack.append(x)
-        return stack
+        return stack, bool(marks)
 
     def _reduce(self, letters: list[int], k: int,
-                trace: ReductionTrace | None) -> list[int]:
+                trace: ReductionTrace | None) -> tuple[list[int], bool]:
+        """Reduce from level k down; returns the reduced word and whether
+        a stable letter survived (else every letter is a base letter)."""
         if k >= self.n_levels:
-            return list(free_reduce(letters))
+            return list(free_reduce(letters)), False
         if k == 0 and trace is None and self.n_levels == 1 \
                 and self.levels[0].dom_kind == "base":
             return self._reduce_block_flat(letters)
@@ -266,28 +270,33 @@ class WordProblem:
                         stack.append(("b", list(repl)))
                     continue
             stack.append(("s", g, e))
-        # recursively normalize the surviving segments
+        # recursively normalize the surviving segments; at the last level
+        # they hold base letters only and are already reduced
+        last = k == self.n_levels - 1
         out: list[int] = []
+        survived = False
         for item in stack:
             if item[0] == "s":
                 out.append(item[1] * item[2])
+                survived = True
             else:
                 seg = item[1]
-                if any(abs(y) not in self.base_set for y in seg):
-                    seg = self._reduce(seg, k + 1, trace)
+                if not last and any(abs(y) not in self.base_set for y in seg):
+                    seg, left = self._reduce(seg, k + 1, trace)
+                    survived = survived or left
                 _merge(out, seg)
-        return out
+        return out, survived
 
     # -- public operations ---------------------------------------------------
 
     def reduce(self, word: Sequence[int]) -> tuple[Word, ReductionTrace]:
         self._check_letters(word)
         trace = ReductionTrace()
-        return tuple(self._reduce(list(word), 0, trace)), trace
+        return tuple(self._reduce(list(word), 0, trace)[0]), trace
 
     def is_trivial(self, word: Sequence[int]) -> bool:
         self._check_letters(word)
-        return not self._reduce(list(word), 0, None)
+        return not self._reduce(list(word), 0, None)[0]
 
     def equal(self, u: Sequence[int], v: Sequence[int]) -> bool:
         w = list(u)
@@ -298,17 +307,15 @@ class WordProblem:
         """Equality without letter validation (internal, trusted words)."""
         w = list(u)
         _merge(w, invert(v))
-        return not self._reduce(w, 0, None)
+        return not self._reduce(w, 0, None)[0]
 
     def to_base(self, word: Sequence[int]):
         """The element's reduced word in the bottom free group, or None
         when reduction leaves a stable letter (then the element is not in
         the distorted free subgroup, by the normal-form theorem)."""
         self._check_letters(word)
-        red = self._reduce(list(word), 0, None)
-        if all(abs(x) in self.base_set for x in red):
-            return tuple(red)
-        return None
+        red, survived = self._reduce(list(word), 0, None)
+        return None if survived else tuple(red)
 
     # -- canonical forms -------------------------------------------------------
 
@@ -320,8 +327,8 @@ class WordProblem:
         right through negative stable letters and split at positive ones
         into a canonical coset representative plus a rewritten member
         part).  Returns None for deeper towers."""
-        red = self._reduce(list(word), 0, None)
-        if all(abs(x) in self.base_set for x in red):
+        red, survived = self._reduce(list(word), 0, None)
+        if not survived:
             return tuple(red)
         if self.n_levels != 1 or self.levels[0].dom_kind != "base":
             return None
@@ -551,10 +558,10 @@ def _ball_impl(spec: GroupSpec, radius: int, cap: int | None,
             for g in moves:
                 cand = list(w)
                 _merge(cand, (g,))
-                red = tuple(wp._reduce(cand, 0, None))
+                red, survived = wp._reduce(cand, 0, None)
+                red = tuple(red)
                 if dedup.add(red):
-                    in_t = all(abs(x) in wp.base_set for x in red)
-                    elements.append(BallElement(red, depth, in_t))
+                    elements.append(BallElement(red, depth, not survived))
                     nxt.append(red)
                     if cap is not None and len(elements) > cap:
                         incomplete = True

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     ConstructionError,
     InvalidParameterError,
     SpecParseError,
@@ -46,6 +47,19 @@ FORMAT_TAG = "catdistort/1"
 #: fold roses eagerly at construction while their total size stays below
 #: this edge count; larger families are certified on demand (CLI --full).
 CERTIFY_EDGE_LIMIT = 500_000
+
+#: cap on the letters a block or double allocates for its square words
+#: and image rows; admits G(289, 4913, 17), about 48.4 M letters
+BUILD_LETTER_CAP = 1 << 26
+
+
+def _check_build_letters(structure: str, n_letters: int) -> None:
+    """Raise :class:`CapExceededError` before a construction allocates
+    more than :data:`BUILD_LETTER_CAP` letters."""
+    if n_letters > BUILD_LETTER_CAP:
+        raise CapExceededError(
+            f"{structure} needs {n_letters} letters of square words and "
+            f"images, above the cap {BUILD_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +256,7 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
     past ``CERTIFY_EDGE_LIMIT`` unless ``certify`` forces it).
     """
     n, m, L = p.n, p.m, p.L
+    _check_build_letters("block", m * m + m * n * L)
     gens = [Gen("a", j) for j in range(1, m + 1)]
     gens += [Gen("t", i) for i in range(1, n + 1)]
     alphabet = Alphabet(gens)
@@ -339,6 +354,7 @@ def build_double(n: int, m: int, L: int = 14,
             "constraint " + " and ".join(violated) +
             f" violated (n={n}, m={m}, L={L})"
         )
+    _check_build_letters("double", m * m + m * n * L + n * n + m * L)
     gens = [Gen("a", j) for j in range(1, m + 1)]
     gens += [Gen("t", i) for i in range(1, n + 1)]
     gens.append(Gen("s", 1))

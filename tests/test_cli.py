@@ -132,6 +132,40 @@ class TestReduce:
         assert out.stderr.startswith("cap exceeded: ")
 
 
+class TestBuildBudget:
+    """A block of 1.96e12 square-word letters exits 3 before it allocates,
+    from the command line and from a spec document alike.  The child's
+    address space is capped so that a missing budget fails the test
+    instead of exhausting memory."""
+
+    def run_capped(self, args):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        return subprocess.run([sys.executable, "-m", "catdistort.cli"] + args,
+                              capture_output=True, text=True,
+                              preexec_fn=limit, timeout=120)
+
+    def assert_cap_exit(self, out):
+        assert out.returncode == 3 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("cap exceeded: block needs ")
+
+    def test_verify_block(self):
+        self.assert_cap_exit(self.run_capped(
+            ["verify", "--block", "100000", "1400000", "14"]))
+
+    def test_verify_spec_document(self, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({
+            "format": "catdistort/1", "structure": "block",
+            "params": {"n": 100000, "m": 1400000, "L": 14},
+            "generators": [], "levels": [], "distinguished": {}}))
+        self.assert_cap_exit(self.run_capped(["verify", "--spec", str(doc)]))
+
+
 class TestBall:
     def test_small_ball(self):
         code, out = run(["ball", "--block", "1", "2", "2", "--radius", "2"])

@@ -484,3 +484,187 @@ def test_retraction_matches_relator_loop(build):
 
 def test_retraction_fails_with_t_in_an_image():
     assert not verify_retraction(_chain_with_t_in_an_image())
+
+
+# -- preimages read off the one-round graph, against the chunk parse -----------
+
+#: visits allowed to the parse oracle where it backtracks exponentially
+#: (the t-maps of double(9, 27, 3)); past it, a case is checked against
+#: the known preimage only
+PARSE_BUDGET = 2000
+
+
+def _parse_oracle(phi, w, budget=None):
+    """The chunk parse of a reduced image word, or None past the budget."""
+    if not w:
+        return ()
+    try:
+        return phi._parse(w, False, 2 * phi.length + 2, budget)
+    except NotInImageError:
+        if budget is None:
+            raise
+        return None
+
+
+def _junction_pairs(rows):
+    """Two-letter preimages whose images cancel at the junction: a row
+    then the inverse of another row with the same last letter, and the
+    inverse of a row then another row with the same first letter."""
+    rows = np.asarray(rows)
+    out = []
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if i != j and rows[i, -1] == rows[j, -1]:
+                out.append((i + 1, -(j + 1)))
+            if i != j and rows[i, 0] == rows[j, 0]:
+                out.append((-(i + 1), j + 1))
+    return out
+
+
+def _refuse_parse(self, *args):
+    raise AssertionError("the chunk parse ran")
+
+
+def _check_read(phi, u, budget=None):
+    """preimage(phi(u)) is u, read off the graph with the parse refused;
+    the parse agrees when it answers.  Returns whether it answered."""
+    w = phi.apply(u)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PositiveEndomorphism, "_parse", _refuse_parse)
+        assert phi.preimage(w) == u
+    want = _parse_oracle(phi, w, budget)
+    assert want is None or want == u
+    return want is not None
+
+
+@st.composite
+def families_with_words(draw):
+    rows = draw(pair_unique_families())
+    k = len(rows)
+    u = draw(st.lists(st.integers(1, k).flatmap(
+        lambda j: st.sampled_from([j, -j])), max_size=6))
+    pairs = _junction_pairs(rows)
+    if pairs:
+        at = draw(st.integers(0, len(u)))
+        u[at:at] = draw(st.sampled_from(pairs))
+    return rows, free_reduce(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_with_words())
+def test_graph_read_matches_parse_hypothesis(case):
+    rows, u = case
+    phi = PositiveEndomorphism(rows)
+    assert phi._petal_letters() is not None
+    _check_read(phi, u, PARSE_BUDGET)
+
+
+def _maps_of(spec):
+    return [phi for lv in spec.levels for phi in lv.endos]
+
+
+@pytest.mark.parametrize("build,budget", [
+    (lambda: build_chain(2, 5, certify=False), None),
+    (lambda: build_block(BlockParams(1, 14, 14), certify=False), None),
+    (lambda: build_double(9, 27, 3, certify=False), PARSE_BUDGET),
+], ids=["chain-2-5", "block-1-14-14", "double-9-27-3"])
+def test_graph_read_matches_parse_on_built_groups(build, budget):
+    rng = random.Random(31)
+    for phi in _maps_of(build()):
+        assert phi._petal_letters() is not None
+        cases = [(j,) for j in range(1, phi.domain_rank + 1)]
+        cases += [free_reduce(p) for p in rng.sample(
+            _junction_pairs(phi.images), 3)]
+        cases += [random_reduced(rng, phi.domain_rank, 5) for _ in range(12)]
+        assert any(len(phi.apply(u)) < phi.length * len(u) for u in cases)
+        answered = [_check_read(phi, u, budget) for u in cases]
+        assert budget is not None or all(answered)
+        assert any(answered)
+
+
+def test_graph_read_matches_parse_on_paper_maps():
+    d = build_double(196, 2744, 14, certify=False)
+    rng = random.Random(40)
+    s_map, t40 = d.levels[0].endos[0], d.levels[1].endos[39]
+    for phi, n_words, length in ((s_map, 12, 3), (t40, 4, 2)):
+        pairs = _junction_pairs(phi.images[:200])
+        cases = [free_reduce(p) for p in rng.sample(pairs, 2)]
+        cases += [random_reduced(rng, phi.domain_rank, length)
+                  for _ in range(n_words)]
+        for u in cases:
+            assert _check_read(phi, u)
+
+
+@pytest.mark.parametrize("rows", [sigma_family(14, 14, 14), sigma_family(6, 3, 12)])
+def test_words_outside_the_image_raise_on_both_paths(rows):
+    phi = PositiveEndomorphism(rows)
+    rng = random.Random(5)
+    outside = 0
+    for _ in range(20):
+        w = list(phi.apply(random_reduced(rng, phi.domain_rank, 4)) or (1,))
+        w[rng.randrange(len(w))] = rng.choice((1, -1)) * rng.randint(
+            1, int(phi.images.max()))
+        w = free_reduce(w)
+        if not w or phi.membership(w):
+            continue  # the change kept the word in the image
+        assert phi.try_preimage(w) is None
+        with pytest.raises(NotInImageError):
+            phi.preimage(w)
+        with pytest.raises(NotInImageError):
+            phi._parse_in_phases(w)
+        outside += 1
+    assert outside >= 10
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    parse = PositiveEndomorphism._parse
+
+    def counted(self, *args):
+        calls.append(args)
+        return parse(self, *args)
+
+    monkeypatch.setattr(PositiveEndomorphism, "_parse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    sigma_family(2, 2, 2),
+    [tuple(r) for r in sigma_family(4, 2, 8)[4:]],
+])
+def test_short_images_still_parse(monkeypatch, rows):
+    phi = PositiveEndomorphism(rows)
+    assert phi._petal_letters() is None
+    calls = _count_parses(monkeypatch)
+    rng = random.Random(2)
+    for _ in range(30):
+        u = random_reduced(rng, phi.domain_rank, 6)
+        before = len(calls)
+        assert phi.preimage(phi.apply(u)) == u
+        assert not u or len(calls) > before
+
+
+def test_read_that_does_not_map_back_falls_back(monkeypatch):
+    # a hand-made fault: petals 1 and 2 swap letters in the read table,
+    # so the read of phi(1, 2) is (2, 1), which phi does not map back
+    phi = PositiveEndomorphism(sigma_family(14, 14, 14))
+    table = list(phi._petal_letters())
+    e1, e2 = table.index(1), table.index(2)
+    table[e1], table[e2] = 2, 1
+    phi._petal_cache = table
+    calls = _count_parses(monkeypatch)
+    assert phi.preimage(phi.apply((1, 2))) == (1, 2)
+    assert len(calls) == 1
+
+
+def test_read_serves_a_deep_double_t_preimage(monkeypatch):
+    # through t1 of double(9, 27, 3) the chunk parse took 52 s for this
+    # kind of 4-letter preimage; the graph read must serve it alone
+    phi = build_double(9, 27, 3, certify=False).levels[1].endos[0]
+    monkeypatch.setattr(PositiveEndomorphism, "_parse", _refuse_parse)
+    rng = random.Random(52)
+    for _ in range(20):
+        u = random_reduced(rng, phi.domain_rank, 4)
+        u = u or (1, -2, 3, -4)
+        assert rewrite_preimage(phi, phi.apply(u)) == u
+    assert rewrite_preimage(phi, phi.apply((3, -7, 12, 5))) == (3, -7, 12, 5)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catdistort.errors import InvalidInputError
+from catdistort.errors import CapExceededError, InvalidInputError
 from catdistort.navigator import (
     ball,
     ball_exhaustive,
@@ -309,3 +309,101 @@ class TestMeasureDistortion:
         assert vals[2].value == 2
         curve3 = measure_distortion(b14, 3, cap=200_000)
         assert dict(curve3.points)[3].value == 14
+
+
+# -- the reducer's survival report, against a full rescan --------------------
+
+
+def _full_scan_reduce(wp, letters, k):
+    """The generic reducer with the survivor rescan at every level: each
+    surviving segment holding a non-base letter is reduced one level
+    deeper, the last level included."""
+    from catdistort.navigator import _merge
+
+    if k >= wp.n_levels:
+        return list(free_reduce(letters))
+    lvl = wp.levels[k]
+    stack = []
+    for x in letters:
+        g = abs(x)
+        if g not in lvl.stable:
+            if stack and stack[-1][0] == "b":
+                _merge(stack[-1][1], (x,))
+            else:
+                stack.append(("b", [x]))
+            continue
+        e = 1 if x > 0 else -1
+        u, oi = ((stack[-1][1], len(stack) - 2) if stack and stack[-1][0] == "b"
+                 else ([], len(stack) - 1))
+        if oi >= 0 and stack[oi] == ("s", g, -e):
+            repl, _ = wp._pinch(lvl, g, e, u)
+            if repl is not None:
+                del stack[oi:]
+                if stack and stack[-1][0] == "b":
+                    _merge(stack[-1][1], repl)
+                elif repl:
+                    stack.append(("b", list(repl)))
+                continue
+        stack.append(("s", g, e))
+    out = []
+    for item in stack:
+        if item[0] == "s":
+            out.append(item[1] * item[2])
+        else:
+            seg = item[1]
+            if any(abs(y) not in wp.base_set for y in seg):
+                seg = _full_scan_reduce(wp, seg, k + 1)
+            _merge(out, seg)
+    return out
+
+
+def _oracle_words(spec, rng, count):
+    """Random words, about 35% stable letters, plus conjugates that pinch
+    forward (t u t^-1) and backward (t^-1 phi(u) t), some of them spoiled
+    by one changed letter so that the stable letters survive."""
+    stable = sorted(spec.stable_id_set())
+    base = [g for g in range(1, len(spec.alphabet) + 1) if g not in stable]
+    words = []
+    for _ in range(count):
+        words.append(tuple(
+            (rng.choice(stable) if rng.random() < 0.35 else rng.choice(base))
+            * rng.choice((1, -1)) for _ in range(rng.randrange(15))))
+        lv = spec.levels[rng.randrange(len(spec.levels))]
+        i = rng.randrange(len(lv.stable_ids))
+        t, phi = lv.stable_ids[i], lv.endos[i]
+        u = [rng.randint(1, phi.domain_rank) * rng.choice((1, -1))
+             for _ in range(rng.randint(1, 3))]
+        dom = [(1 if y > 0 else -1) * lv.domain_ids[abs(y) - 1] for y in u]
+        img = list(phi.apply(free_reduce(u)))
+        if img and rng.random() < 0.3:
+            img[rng.randrange(len(img))] = rng.choice(base + stable)
+        words.append((t,) + tuple(dom) + (-t,))
+        words.append((-t,) + tuple(img) + (t,))
+    return words
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_block(BlockParams(1, 2, 2)),
+    lambda: build_block(BlockParams(1, 14, 14)),
+    lambda: build_chain(2, 5),
+    lambda: build_double(9, 27, 3),
+], ids=["block-1-2-2", "block-1-14-14", "chain-2-5", "double-9-27-3"])
+def test_survival_report_matches_full_scan(build):
+    spec = build()
+    wp = spec.word_problem()
+    rng = random.Random(35)
+    survived = 0
+    for w in _oracle_words(spec, rng, 150):
+        try:
+            red = tuple(_full_scan_reduce(wp, list(w), 0))
+        except CapExceededError:
+            for call in (britton_reduce, to_base, is_trivial):
+                with pytest.raises(CapExceededError):
+                    call(spec, w)
+            continue
+        in_base = all(abs(x) in wp.base_set for x in red)
+        assert britton_reduce(spec, w)[0] == red, w
+        assert to_base(spec, w) == (red if in_base else None), w
+        assert is_trivial(spec, w) == (red == ()), w
+        survived += not in_base
+    assert 50 <= survived <= 400

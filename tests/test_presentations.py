@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catdistort.errors import (
+    CapExceededError,
     ConstructionError,
     InvalidParameterError,
     SpecParseError,
@@ -221,3 +222,41 @@ class TestFreeGroup:
         assert f.relator_count() == 0
         assert f.n_generators == 2
         assert verify_retraction(f)
+
+
+class TestBuildBudget:
+    """Blocks and doubles compare the letters of their square words and
+    image rows with BUILD_LETTER_CAP before they allocate anything."""
+
+    @pytest.fixture
+    def no_square_words(self, monkeypatch):
+        import catdistort.presentations as P
+
+        class Reached(Exception):
+            pass
+
+        def refuse(m):
+            raise Reached(m)
+
+        monkeypatch.setattr(P, "sigma_ids", refuse)
+        return Reached
+
+    def test_over_budget_block_refused_before_allocating(self, no_square_words):
+        with pytest.raises(CapExceededError, match="3920000000000 letters"):
+            build_block(BlockParams(100_000, 1_400_000, 14))
+
+    def test_over_budget_double_refused_before_allocating(self, no_square_words):
+        with pytest.raises(CapExceededError):
+            build_double(10_000, 1_400_000, 14)
+
+    @pytest.mark.parametrize("n,m,L", [(289, 4913, 17), (196, 2744, 14)])
+    def test_ladder_doubles_within_budget(self, no_square_words, n, m, L):
+        # G(289, 4913, 17): 24.1 M letters of square word on the a's
+        with pytest.raises(no_square_words):
+            build_double(n, m, L, certify=False)
+
+    def test_spec_document_over_budget(self):
+        doc = {"format": "catdistort/1", "structure": "block",
+               "params": {"n": 100_000, "m": 1_400_000, "L": 14}}
+        with pytest.raises(CapExceededError):
+            spec_from_dict(doc)
