@@ -118,10 +118,7 @@ def _verify_report(spec, full: bool, seed: int, scheme: str) -> dict:
     add("retraction", "ok" if P.verify_retraction(spec) else "failed")
 
     # injectivity (possibly gated)
-    total_edges = sum(
-        len(lv.stable_ids) * len(lv.domain_ids) * lv.image_length
-        for lv in spec.levels
-    )
+    total_edges = spec.rose_edge_count()
     if total_edges > P.CERTIFY_EDGE_LIMIT and not full:
         add("injectivity", "skipped",
             reason=f"{total_edges} rose edges; rerun with --full")

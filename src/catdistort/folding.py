@@ -13,19 +13,23 @@ between free groups of the same finite rank is an isomorphism.  For a
 pair-unique family with images of length at least 3, one round of folds
 at the base vertex already yields the folded graph; that round is
 checked (:func:`fold_one_round`), and :func:`fold` is the general path.
-On such a graph a preimage is read off the petal edges that one trace
-crosses and checked by applying the map; a chunk parse is the fallback.
+
+Every edge also carries a petal word, a reduced word in the petal
+letters, and along a closed path at the base these words multiply to the
+path's preimage (Kapovich--Myasnikov, *Stallings foldings and subgroups
+of free groups*, 2002), so a preimage is one trace of the folded graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    ConstructionError,
     InvalidInputError,
     InvalidParameterError,
     NotInImageError,
@@ -71,6 +75,7 @@ class StallingsGraph:
         self.src, self.dst, self.label = src, dst, label
         self.folded = folded
         self._owner: np.ndarray | None = None
+        self._words: list[Word] | None = None
         self._out: dict[tuple[int, int], tuple[int, int]] | None = None
         self._in: dict[tuple[int, int], tuple[int, int]] | None = None
 
@@ -89,6 +94,28 @@ class StallingsGraph:
             self._edges = tuple(zip(self.src.tolist(), self.dst.tolist(),
                                     self.label.tolist(), provs))
         return self._edges
+
+    def petal_words(self) -> list[Word]:
+        """Per edge, a reduced word in the petal letters 1..k; along a
+        closed path at the base these words multiply to the path's
+        preimage under the map sending petal j to the positive word it
+        spells.
+
+        :func:`fold` carries them through its folds.  Other graphs derive
+        them on first call: j + 1 goes to the edge that petal j's rose
+        edge at position 1 descends to on a one-round graph (it is petal
+        j's alone), and at position 0 on any other graph, as on a rose.
+        """
+        if self._words is None:
+            if self._owner is not None:
+                words: list[Word] = [()] * self.n_edges
+                for j, e in enumerate(self._owner[1::self._petal_length].tolist()):
+                    words[e] = (j + 1,)
+            else:
+                words = [tuple([j + 1 for j, p in prov if p == 0])
+                         for *_, prov in self.edges]
+            self._words = words
+        return self._words
 
     def _tables(self):
         if self._out is None:
@@ -213,6 +240,9 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
     """Fold to the immersion: identify pairs of equally-labeled edges
     sharing an endpoint until none remain.  Operates on a private copy;
     provenance sets merge on identification and the base vertex is tracked.
+    Petal words (:meth:`StallingsGraph.petal_words`) are carried along:
+    before two vertex classes unite, the edges at one of them are
+    re-gauged so that both ends agree, and the base is never re-gauged.
 
     The default processing order is a canonical smallest-slot-first queue;
     ``seed`` randomizes it (used by confluence tests only).
@@ -228,12 +258,13 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
             x = parent[x]
         return x
 
-    # edge store: eid -> [src, dst, label, provenance, alive]
+    # edge store: eid -> [src, dst, label, provenance, alive, petal word]
     edges: list[list] = [
-        [u, v, lab, set(prov), True] for u, v, lab, prov in graph.edges
+        [u, v, lab, set(prov), True, word]
+        for (u, v, lab, prov), word in zip(graph.edges, graph.petal_words())
     ]
     adj: list[dict | None] = [dict() for _ in range(nv)]
-    for eid, (u, v, lab, _, _) in enumerate(edges):
+    for eid, (u, v, lab, *_) in enumerate(edges):
         adj[u].setdefault((0, lab), set()).add(eid)
         adj[v].setdefault((1, lab), set()).add(eid)
 
@@ -259,6 +290,24 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
             heapq.heappush(work, slot)
         else:
             work.append(slot)
+
+    def regauge(side: int, d: int, u2: int, e1: int, e2: int) -> None:
+        # e1 and e2 share their d-end; re-gauge the class `side` of their
+        # other ends by g, so that g times the old gauge at that end is
+        # the gauge at the other: out-edges become g.w, in-edges w.g^-1
+        w1, w2 = edges[e1][5], edges[e2][5]
+        if side != u2:
+            w1, w2 = w2, w1
+        g = free_reduce(invert(w1) + w2 if d == 0 else w1 + invert(w2))
+        if not g:
+            return
+        g_inv = invert(g)
+        for e in {e for s in adj[side].values() for e in s if edges[e][4]}:
+            rec = edges[e]
+            if find(rec[0]) == side:
+                rec[5] = free_reduce(g + rec[5])
+            if find(rec[1]) == side:
+                rec[5] = free_reduce(rec[5] + g_inv)
 
     while work:
         v0, d, lab = pop_slot()
@@ -290,6 +339,7 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
             la, lb = len(adj[a]), len(adj[b])
             if (lb, a) > (la, b):
                 a, b = b, a
+            regauge(a if b == find(graph.base) else b, d, u2, e1, e2)
             parent[b] = a
             ta, tb = adj[a], adj[b]
             for k2, s2 in tb.items():
@@ -315,10 +365,12 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
 
     base = rid(graph.base)
     out_edges = []
-    for u, v, lab, prov, _ in alive_edges:
+    for u, v, lab, prov, _, _ in alive_edges:
         out_edges.append((rid(u), rid(v), lab, frozenset(prov)))
     n_alive = len(remap)
-    return StallingsGraph(n_alive, base, out_edges, folded=True)
+    folded = StallingsGraph(n_alive, base, out_edges, folded=True)
+    folded._words = [rec[5] for rec in alive_edges]
+    return folded
 
 
 def _first_of_class(letters: np.ndarray) -> np.ndarray:
@@ -431,41 +483,17 @@ class PositiveEndomorphism:
         self.length = int(arr.shape[1])
         self.domain_alphabet = domain_alphabet
         self.codomain_alphabet = codomain_alphabet
-        self._rows_cache: list[tuple[int, ...]] | None = None
-        self._neg_rows_cache: list[tuple[int, ...]] | None = None
-        self._index_cache: tuple[dict, dict] | None = None
+        self._rows_cache: tuple[list[Word], list[Word]] | None = None
         self._graph: StallingsGraph | None = None
+        self._words_cache: tuple[list[Word], list[Word]] | None = None
         self._certificate: InjectivityCertificate | None = None
 
-    @property
-    def _rows(self) -> list[tuple[int, ...]]:
+    def _rows(self) -> tuple[list[Word], list[Word]]:
+        """The images as tuples, and their inverses."""
         if self._rows_cache is None:
-            self._rows_cache = [tuple(int(x) for x in row) for row in self.images]
+            rows = [tuple(r) for r in self.images.tolist()]
+            self._rows_cache = (rows, [invert(r) for r in rows])
         return self._rows_cache
-
-    @property
-    def _neg_rows(self) -> list[tuple[int, ...]]:
-        if self._neg_rows_cache is None:
-            self._neg_rows_cache = [invert(r) for r in self._rows]
-        return self._neg_rows_cache
-
-    @property
-    def _by_first(self) -> dict[int, tuple[int, ...]]:
-        return self._indexes()[0]
-
-    @property
-    def _by_last(self) -> dict[int, tuple[int, ...]]:
-        return self._indexes()[1]
-
-    def _indexes(self) -> tuple[dict, dict]:
-        if self._index_cache is None:
-            by_first: dict[int, tuple[int, ...]] = {}
-            by_last: dict[int, tuple[int, ...]] = {}
-            for j, row in enumerate(self._rows):
-                by_first[row[0]] = by_first.get(row[0], ()) + (j,)
-                by_last[row[-1]] = by_last.get(row[-1], ()) + (j,)
-            self._index_cache = (by_first, by_last)
-        return self._index_cache
 
     # -- image subgroup graph ------------------------------------------
 
@@ -541,7 +569,7 @@ class PositiveEndomorphism:
 
     def apply(self, word: Sequence[int]) -> Word:
         """Freely reduced image of a word over the domain letters."""
-        rows, neg = self._rows, self._neg_rows
+        rows, neg = self._rows()
         out: list[int] = []
         positive = True
         for x in word:
@@ -559,21 +587,6 @@ class PositiveEndomorphism:
 
     # -- inverting -------------------------------------------------------
 
-    def _petal_letters(self) -> list[int] | None:
-        """Per folded edge, j + 1 on the edge that petal j's rose edge at
-        position 1 descends to, else 0; None unless the graph was folded
-        in one round.  After one round (L >= 3) that edge is petal j's
-        alone, so a reduced loop at the base crosses these edges in the
-        order, and with the signs, of the reduced preimage's letters."""
-        if getattr(self, "_petal_cache", None) is None:
-            g, k = self.graph, self.domain_rank
-            self._petal_cache = ()
-            if g._owner is not None:
-                letters = np.zeros(g.n_edges, dtype=np.int64)
-                letters[g._owner[np.arange(k) * self.length + 1]] = np.arange(1, k + 1)
-                self._petal_cache = letters.tolist()
-        return self._petal_cache or None
-
     def preimage(self, word: Sequence[int]) -> Word:
         """The unique v with phi(v) = word, for injective phi.
 
@@ -589,17 +602,20 @@ class PositiveEndomorphism:
         """The preimage of word, or None when the reduced word does not
         trace a closed path at the base (it is not in the image).
 
-        One trace of the folded graph decides membership and, on a graph
-        folded in one round, reads the preimage off the petal edges it
-        crosses; the read is kept only if phi maps it back to the word.
-        Otherwise the word is parsed into image chunks.
+        One trace of the folded graph decides membership and multiplies
+        the petal words of the edges it crosses, inverted on edges crossed
+        backwards; phi must map the reduced product back to the word, and
+        a product that does not is a fault (:class:`ConstructionError`).
         """
         w = free_reduce(word)
         if not w:
             return ()
         graph = self.graph
         out, inc = graph._tables()
-        petal = self._petal_letters()
+        if self._words_cache is None:
+            words = graph.petal_words()
+            self._words_cache = (words, [invert(x) for x in words])
+        fwd, bwd = self._words_cache
         read: list[int] = []
         v = graph.base
         for x in w:
@@ -607,123 +623,15 @@ class PositiveEndomorphism:
             if hop is None:
                 return None
             v, e = hop
-            if petal is not None and petal[e]:
-                read.append(petal[e] if x > 0 else -petal[e])
+            piece = fwd[e] if x > 0 else bwd[e]
+            if piece:
+                read += piece
         if v != graph.base:
             return None
-        if petal is not None and self.apply(read) == w:
-            return tuple(read)
-        return self._parse_in_phases(w)
-
-    def _parse_in_phases(self, w: Word) -> Word:
-        """Parse a reduced word that traces a closed base path into image
-        chunks: the fallback of :meth:`try_preimage`, and the tests'
-        oracle for the graph read."""
-        L = self.length
-        # Phase 1: first-letter-seeded candidates only; complete for L >= 3
-        # because junction cancellation cannot reach a chunk's first letter.
-        # Later phases admit fully-vanishing chunks (possible at L <= 2)
-        # with progressively wider remnant caps.
-        phases = [(False, 2 * L + 2, None)]
-        if L <= 2:
-            phases = [(False, 2 * L + 2, 100_000),
-                      (True, 4 * L + 8, 4_000_000),
-                      (True, 64 * L, None)]
-        for allow_fallback, rem_cap, budget in phases:
-            try:
-                return self._parse(w, allow_fallback, rem_cap, budget)
-            except NotInImageError:
-                if (allow_fallback, rem_cap, budget) == phases[-1]:
-                    raise
-        raise NotInImageError("unreachable")
-
-    def _parse(self, w: Word, allow_fallback: bool, rem_cap: int,
-               budget: int | None) -> Word:
-        L = self.length
-        m = self.domain_rank
-        rows = self._rows
-        wlen = len(w)
-
-        def step(i: int, rem: tuple, j: int, e: int):
-            # strip chunk (row j)^e from the front of rem + w[i:]
-            stack = list(self._neg_rows[j]) if e > 0 else list(rows[j])
-            p, q = 0, i
-            rl = len(rem)
-            while stack:
-                if p < rl:
-                    nxt = rem[p]
-                elif q < wlen:
-                    nxt = w[q]
-                else:
-                    break
-                if nxt == -stack[-1]:
-                    stack.pop()
-                    if p < rl:
-                        p += 1
-                    else:
-                        q += 1
-                else:
-                    break
-            new_rem = tuple(stack) + rem[p:]
-            return q, new_rem
-
-        def candidates(first: int, prev: tuple | None):
-            if first > 0:
-                seeded, es = self._by_first.get(first, ()), 1
-            else:
-                seeded, es = self._by_last.get(-first, ()), -1
-            for j in seeded:
-                if prev is not None and j == prev[0] and es == -prev[1]:
-                    continue  # would make v unreduced
-                yield (j, es)
-            if allow_fallback:
-                seen = set(seeded)
-                for j in range(m):
-                    for e in (1, -1):
-                        if e == es and j in seen:
-                            continue
-                        if prev is not None and j == prev[0] and e == -prev[1]:
-                            continue
-                        yield (j, e)
-
-        failed: set = set()
-        on_stack: set = set()
-        visits = 0
-        # iterative DFS: frames of (state, candidate iterator).  Revisiting
-        # a state already on the stack cannot help (any completion from the
-        # revisit completes from the first visit), so cycles are skipped.
-        root = (0, (), None)
-        stack_frames = [(root, candidates(w[0], None))]
-        on_stack.add(root)
-        path: list[int] = []
-        while stack_frames:
-            (i, rem, prev), it = stack_frames[-1]
-            advanced = False
-            for j, e in it:
-                q, new_rem = step(i, rem, j, e)
-                if len(new_rem) > rem_cap:
-                    continue
-                nxt_state = (q, new_rem, (j, e))
-                if nxt_state in failed or nxt_state in on_stack:
-                    continue
-                visits += 1
-                if budget is not None and visits > budget:
-                    raise NotInImageError("parse budget exceeded")
-                path.append((j + 1) * e)
-                if not new_rem and q == wlen:
-                    return tuple(path)
-                nxt_first = new_rem[0] if new_rem else w[q]
-                stack_frames.append((nxt_state, candidates(nxt_first, (j, e))))
-                on_stack.add(nxt_state)
-                advanced = True
-                break
-            if not advanced:
-                state = stack_frames.pop()[0]
-                failed.add(state)
-                on_stack.discard(state)
-                if path:
-                    path.pop()
-        raise NotInImageError("no chunk parse despite closed trace")
+        read = free_reduce(read)
+        if self.apply(read) != w:
+            raise ConstructionError("petal words read a non-preimage")
+        return read
 
 
 @dataclass(frozen=True)

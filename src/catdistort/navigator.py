@@ -113,40 +113,21 @@ class WordProblem:
             return endo.images[arr - 1].ravel().tolist()
         return list(endo.apply(local))
 
-    def _dom_accept(self, lvl: _Level, u: list[int]):
-        """The domain-subgroup word equal to u, or None."""
-        k = lvl.index
-        if lvl.dom_kind == "base":
-            return u  # segments at a base level are already domain words
-        w = self._reduce(list(u), k + 1, None)[0]
-        if all(abs(x) in lvl.dom_set for x in w):
+    def _accept(self, lvl: _Level, ids: frozenset, kind: str, u: list[int]):
+        """The word over ``ids`` (the level's domain or codomain letters,
+        of the given kind) equal to u, or None."""
+        if kind == "base":
+            return u  # segments at a base level are already subgroup words
+        w = self._reduce(list(u), lvl.index + 1, None)[0]
+        if all(abs(x) in ids for x in w):
             return w
-        if lvl.dom_kind == "reduce":
+        if kind == "reduce":
             return None  # deeper stable letters survived reduction
-        # retract-and-verify: F(domain) is a retract of the base group
-        c = [x for x in w if abs(x) in lvl.dom_set]
-        c = free_reduce(c)
+        # retract-and-verify: F(ids) is a retract of the base group
+        c = free_reduce([x for x in w if abs(x) in ids])
         probe = list(w)
         _merge(probe, invert(c))
-        if self._reduce(probe, k + 1, None)[0]:
-            return None
-        return list(c)
-
-    def _cod_accept(self, lvl: _Level, u: list[int]):
-        """The codomain-subgroup word equal to u, or None."""
-        k = lvl.index
-        if lvl.cod_kind == "base":
-            return u
-        w = self._reduce(list(u), k + 1, None)[0]
-        if all(abs(x) in lvl.cod_set for x in w):
-            return w
-        if lvl.cod_kind == "reduce":
-            return None
-        c = [x for x in w if abs(x) in lvl.cod_set]
-        c = free_reduce(c)
-        probe = list(w)
-        _merge(probe, invert(c))
-        if self._reduce(probe, k + 1, None)[0]:
+        if self._reduce(probe, lvl.index + 1, None)[0]:
             return None
         return list(c)
 
@@ -157,14 +138,14 @@ class WordProblem:
         endo = lvl.endos[lvl.stable[gid]]
         if closer_sign == -1:
             # t u t^-1 with u in F(domain): expand through the endomorphism
-            c = self._dom_accept(lvl, u)
+            c = self._accept(lvl, lvl.dom_set, lvl.dom_kind, u)
             if c is None:
                 return None, "forward"
             _check_expansion(len(c), endo)
             local = [x // abs(x) * lvl.dom_pos[abs(x)] for x in c]
             return self._apply(endo, local), "forward"
         # t^-1 u t with u in the image subgroup: rewrite back
-        c = self._cod_accept(lvl, u)
+        c = self._accept(lvl, lvl.cod_set, lvl.cod_kind, u)
         if c is None:
             return None, "backward"
         local = endo.try_preimage(c)

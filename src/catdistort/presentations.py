@@ -152,6 +152,11 @@ class GroupSpec:
     def relator_count(self) -> int:
         return sum(len(lv.stable_ids) * len(lv.domain_ids) for lv in self.levels)
 
+    def rose_edge_count(self) -> int:
+        """Edges of all the roses that certification folds."""
+        return sum(len(lv.stable_ids) * len(lv.domain_ids) * lv.image_length
+                   for lv in self.levels)
+
     def relators(self) -> Iterator[Relator]:
         for lv in self.levels:
             for si, s_id in enumerate(lv.stable_ids):
@@ -235,11 +240,7 @@ def _endo_family(sub_ids: Sequence[int], length: int, count: int,
 
 def _maybe_certify(spec: GroupSpec, certify: bool | None):
     if certify is None:
-        total_edges = sum(
-            len(lv.stable_ids) * len(lv.domain_ids) * lv.image_length
-            for lv in spec.levels
-        )
-        certify = total_edges <= CERTIFY_EDGE_LIMIT
+        certify = spec.rose_edge_count() <= CERTIFY_EDGE_LIMIT
     if certify:
         spec.certify_all()
     return spec

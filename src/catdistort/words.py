@@ -300,23 +300,19 @@ def _census(keys: np.ndarray, mod: int) -> PairReport:
 
 
 def chop(word: Sequence[int], length: int, count: int) -> list[PositiveWord]:
-    """First ``count`` consecutive disjoint subwords of ``length`` letters.
+    """First ``count`` consecutive disjoint subwords of ``length`` letters,
+    as tuples; see :func:`chop_ids`."""
+    rows = chop_ids(np.asarray(word, dtype=np.int64), length, count)
+    return [tuple(r) for r in rows.tolist()]
+
+
+def chop_ids(ids: np.ndarray, length: int, count: int) -> np.ndarray:
+    """First ``count`` consecutive disjoint subwords of ``length`` letters,
+    as a fresh (count, length) array of the ids' dtype.
 
     Raises :class:`InsufficientLengthError` when the word cannot supply
     them, mirroring the m**2 >= L*m*n feasibility constraint.
     """
-    if length < 1 or count < 0:
-        raise InvalidParameterError("chop needs length >= 1 and count >= 0")
-    if count * length > len(word):
-        raise InsufficientLengthError(
-            f"cannot chop {count} x {length} = {count * length} letters "
-            f"out of a word of length {len(word)}"
-        )
-    return [tuple(word[i * length:(i + 1) * length]) for i in range(count)]
-
-
-def chop_ids(ids: np.ndarray, length: int, count: int) -> np.ndarray:
-    """Array form of :func:`chop`: returns a (count, length) int32 view."""
     if length < 1 or count < 0:
         raise InvalidParameterError("chop needs length >= 1 and count >= 0")
     if count * length > ids.size:
