@@ -267,7 +267,9 @@ class LinkGraph:
     direction ids, with uniform pi/2 weights.
 
     Boundary direction ids: 2*(gen-1) + tag (tag 0 = g+, 1 = g-).
-    Chord direction ids follow, one block per cell.
+    Chord direction ids follow, one block per cell.  The checks scan the
+    edge array directly; the adjacency arrays (``csr``) are built on
+    first use, which only a failing separation check makes.
     """
 
     def __init__(self, n_gens: int, edges: np.ndarray, chord_base: int,
@@ -279,7 +281,6 @@ class LinkGraph:
         self.marked = dict(marked or {})
         self.alphabet = alphabet
         self.n_chords_per_cell = n_chords_per_cell
-        self._sorted_keys: np.ndarray | None = None
         self._csr = None
 
     @property
@@ -303,34 +304,6 @@ class LinkGraph:
 
     # -- derived structures ------------------------------------------------
 
-    def _keys(self) -> np.ndarray:
-        if self._sorted_keys is None:
-            u = np.minimum(self.edges[:, 0], self.edges[:, 1])
-            v = np.maximum(self.edges[:, 0], self.edges[:, 1])
-            n = int(self.edges.max()) + 2 if self.edges.size else 2
-            self._key_mod = n
-            self._sorted_keys = np.sort(u * n + v)
-        return self._sorted_keys
-
-    def has_edge(self, a: int, b: int) -> bool:
-        keys = self._keys()
-        lo, hi = (a, b) if a <= b else (b, a)
-        k = lo * self._key_mod + hi
-        i = int(np.searchsorted(keys, k))
-        return i < keys.size and keys[i] == k
-
-    def has_edges(self, pairs: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (n, 2) array of vertex pairs."""
-        if pairs.size == 0:
-            return np.zeros(0, dtype=bool)
-        keys = self._keys()
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        k = lo * self._key_mod + hi
-        idx = np.searchsorted(keys, k)
-        idx = np.minimum(idx, keys.size - 1)
-        return keys[idx] == k
-
     def csr(self):
         """Symmetric adjacency as (indptr, targets)."""
         if self._csr is None:
@@ -344,12 +317,6 @@ class LinkGraph:
             np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
             self._csr = (indptr, dst, n)
         return self._csr
-
-    def neighbors(self, v: int) -> np.ndarray:
-        indptr, dst, n = self.csr()
-        if v >= n:
-            return np.empty(0, dtype=np.int64)
-        return dst[indptr[v]:indptr[v + 1]]
 
     # -- construction helpers ----------------------------------------------
 
@@ -476,9 +443,9 @@ def build_level_link(spec: GroupSpec, level_index: int,
 
 @dataclass(frozen=True)
 class GirthReport:
-    """Shortest embedded cycle found by depth-limited search.  Only
-    cycles shorter than 4 edges can violate the 2*pi bound, so the search
-    is exact below 4 and reports ">= 4" otherwise."""
+    """Shortest embedded cycle.  Only cycles shorter than 4 edges can
+    violate the 2*pi bound, so the search is exact below 4 and reports
+    ">= 4" otherwise."""
 
     ok: bool
     combinatorial_girth: int | None  # exact when < 4, else None (>= 4)
@@ -507,22 +474,19 @@ class GirthReport:
 
 
 def verify_cycle(link: LinkGraph, cycle: Sequence[int]) -> bool:
-    """Independently re-verify a witness cycle edge by edge."""
+    """Independently re-verify a witness cycle edge by edge: a loop needs
+    its edge, a 2-cycle two parallel edges, a longer cycle every edge."""
     n = len(cycle)
-    if n < 1:
+    if n < 1 or len(set(cycle)) != n:
         return False
-    if len(set(cycle)) != n:
-        return False
-    if n == 1:
-        return link.has_edge(cycle[0], cycle[0])
+    x, y = link.edges[:, 0], link.edges[:, 1]
+
+    def count(a, b):
+        return int(np.count_nonzero(((x == a) & (y == b)) | ((x == b) & (y == a))))
+
     if n == 2:
-        u = np.minimum(link.edges[:, 0], link.edges[:, 1])
-        v = np.maximum(link.edges[:, 0], link.edges[:, 1])
-        a, b = min(cycle), max(cycle)
-        return int(np.count_nonzero((u == a) & (v == b))) >= 2
-    return all(
-        link.has_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)
-    )
+        return count(*cycle) >= 2
+    return all(count(cycle[i], cycle[(i + 1) % n]) for i in range(n))
 
 
 def _report(ok, girth, witness, link):
@@ -531,95 +495,126 @@ def _report(ok, girth, witness, link):
                        names, link.n_edges)
 
 
-def check_large_link(link: LinkGraph) -> GirthReport:
-    """Depth-limited search for embedded cycles of combinatorial length
-    < 4 (self-loops, doubled edges, triangles); ok iff none exist.
+def _among(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Membership of each k in the sorted array keys.  Sorted queries
+    keep the binary searches in cache; the keys found are then looked up
+    in query order."""
+    found = np.sort(k)
+    if keys.size:
+        found = found[keys[np.searchsorted(keys, found).clip(max=keys.size - 1)] == found]
+    if not (keys.size and found.size):
+        return np.zeros(k.shape, dtype=bool)
+    return found[np.searchsorted(found, k).clip(max=found.size - 1)] == k
 
-    Triangle search is structure-aware: direction-direction edges that
-    pair an outgoing with an incoming direction cannot close an odd
-    cycle on their own, so every triangle must pass through an interior
-    (chord) vertex or an anomalous same-parity edge; both candidate sets
-    are enumerated exactly."""
+
+def check_large_link(link: LinkGraph) -> GirthReport:
+    """Exact search for embedded cycles of combinatorial length < 4
+    (self-loops, doubled edges, triangles); ok iff none exist.
+
+    Each degree-2 chord vertex (all of them in a built link) is stored as
+    the pair of its neighbours, in the order its edges appear (column 0
+    rows, then column 1 rows); every other edge is a sorted key.  A
+    doubled edge is a repeated key or a chord whose two neighbours agree;
+    a triangle through such a chord is an edge between its neighbours.
+    Direction-direction edges pairing an outgoing with an incoming
+    direction cannot close an odd cycle on their own, so the remaining
+    triangles pass through a chord of another degree or an anomalous
+    same-parity edge.  The smallest witness of each kind is reported:
+    loops first, then the smallest doubled key, then triangles by chord
+    id, then by anomalous edge."""
     e = link.edges
     if e.size == 0:
         return _report(True, None, None, link)
-    # length 1: self-loops
-    loops = e[:, 0] == e[:, 1]
-    if loops.any():
-        v = int(e[loops][0, 0])
-        return _report(False, 1, (v,), link)
-    # length 2: doubled edges
-    u = np.minimum(e[:, 0], e[:, 1])
-    v = np.maximum(e[:, 0], e[:, 1])
-    n = int(e.max()) + 2
-    keys = u.astype(np.int64) * n + v
-    uniq, counts = np.unique(keys, return_counts=True)
-    dup = counts > 1
-    if dup.any():
-        k = int(uniq[dup][0])
+    a, b = e[:, 0], e[:, 1]
+    loops = np.flatnonzero(a == b)
+    if loops.size:
+        return _report(False, 1, (int(a[loops[0]]),), link)
+    ef = e.ravel()
+    E, cb, n = e.shape[0], link.chord_base, int(ef.max()) + 1
+    # chord occurrences as flat positions f: row f // 2, column f % 2, and
+    # the vertex across the edge at f ^ 1; column 0 rows come first in
+    # edge order, then column 1 rows
+    f = np.flatnonzero(ef >= cb)
+    ch = ef[f]
+
+    def rank(f):
+        return (f & 1) * E + (f >> 1)
+
+    deg = np.bincount(ch, minlength=n)
+    big = np.flatnonzero((deg > 2)[ch])
+    f_big, ch_big = f[big], ch[big]
+    # one occurrence of each chord wins the first scatter, the other the second
+    c2 = np.flatnonzero(deg == 2)
+    slot = np.zeros(n, dtype=np.int64)
+    slot[ch] = f
+    f1 = slot[c2]
+    lost = slot[ch] != f
+    slot[ch[lost]] = f[lost]
+    f2 = slot[c2]
+    # these are as long as the chord occurrences (8.6 M on the paper link);
+    # freeing them before the key sort and the lookups lowers the peak
+    del f, ch, deg, slot, lost
+    swap = rank(f2) < rank(f1)
+    p, q = ef[np.where(swap, f2, f1) ^ 1], ef[np.where(swap, f1, f2) ^ 1]
+    del f1, f2, swap
+    P, Q = np.full(n, -1), np.full(n, -1)
+    P[c2], Q[c2] = p, q
+    at2 = P >= 0
+    plain = ~(at2[a] | at2[b])  # edges at no degree-2 chord
+    x, y = a[plain], b[plain]
+    del plain
+    anomalous = np.flatnonzero((np.maximum(x, y) < cb) & ((x - y) % 2 == 0))
+    ax, ay = x[anomalous], y[anomalous]
+    keys = np.minimum(x, y)
+    keys *= n
+    keys += np.maximum(x, y)
+    del x, y
+    keys.sort()
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    at = p == q
+    dup = np.concatenate([dup[:1], np.minimum(c2[at], p[at]) * n
+                          + np.maximum(c2[at], p[at])])
+    if dup.size:
+        k = int(dup.min())
         return _report(False, 2, (k // n, k % n), link)
-    # with no key repeated, uniq is the array _keys() would sort again
-    link._sorted_keys, link._key_mod = uniq, n
-    # length 3: triangles
-    cb = link.chord_base
-    both_dir = (e[:, 0] < cb) & (e[:, 1] < cb)
-    anomalous = e[both_dir][(e[both_dir, 0] % 2) == (e[both_dir, 1] % 2)]
-    # (a) triangles through an interior vertex
-    chord_mask = (e[:, 0] >= cb) | (e[:, 1] >= cb)
-    ce = e[chord_mask]
-    if ce.size:
-        # an edge may join two interior vertices; check it from both sides
-        cv = np.concatenate([ce[:, 0], ce[:, 1]])
-        other = np.concatenate([ce[:, 1], ce[:, 0]])
-        keep = cv >= cb
-        cv, other = cv[keep], other[keep]
-        order = np.argsort(cv, kind="stable")
-        cv, other = cv[order], other[order]
-        uniq_cv, starts, counts_cv = np.unique(cv, return_index=True,
-                                               return_counts=True)
-        # interior vertices have degree 2 in the ladder scheme; vectorize
-        # that case and fall back to loops for engineered higher degrees
-        deg2 = np.flatnonzero(counts_cv == 2)
-        if deg2.size:
-            idx2 = starts[deg2]
-            pairs2 = np.stack([other[idx2], other[idx2 + 1]], axis=1)
-            heads2 = uniq_cv[deg2]
-            hits = (link.has_edges(pairs2)
-                    & (pairs2[:, 0] != pairs2[:, 1])
-                    & (pairs2[:, 0] != heads2) & (pairs2[:, 1] != heads2))
-            if hits.any():
-                i = int(np.flatnonzero(hits)[0])
-                return _report(
-                    False, 3,
-                    (int(heads2[i]), int(pairs2[i, 0]), int(pairs2[i, 1])),
-                    link)
-        for idx in np.flatnonzero(counts_cv > 2).tolist():
-            lo = int(starts[idx])
-            hi = lo + int(counts_cv[idx])
-            nbrs = other[lo:hi]
-            head = int(uniq_cv[idx])
-            for i in range(nbrs.size):
-                for j in range(i + 1, nbrs.size):
-                    a, b = int(nbrs[i]), int(nbrs[j])
-                    if a == b or a == head or b == head:
-                        continue
-                    if link.has_edge(a, b):
-                        return _report(False, 3, (head, a, b), link)
-    # (b) triangles through an anomalous direction-direction edge
-    for a, b in anomalous.tolist():
-        na = set(link.neighbors(a).tolist())
-        nb = set(link.neighbors(b).tolist())
-        common = (na & nb) - {a, b}
-        if common:
-            c = min(common)
-            return _report(False, 3, (a, b, c), link)
+
+    def linked(u, v):
+        return ((P[u] == v) | (Q[u] == v) | (P[v] == u) | (Q[v] == u)
+                | _among(keys, np.minimum(u, v) * n + np.maximum(u, v)))
+
+    hits = np.flatnonzero(linked(p, q))
+    if hits.size:
+        i = hits[0]
+        return _report(False, 3, (int(c2[i]), int(p[i]), int(q[i])), link)
+    # chords of any other degree, neighbours in edge order
+    order = np.lexsort((rank(f_big), ch_big))
+    heads, starts = np.unique(ch_big[order], return_index=True)
+    for head, nb in zip(heads.tolist(), np.split(ef[f_big[order] ^ 1], starts[1:])):
+        i, j = np.triu_indices(nb.size, 1)
+        hits = np.flatnonzero(linked(nb[i], nb[j]))
+        if hits.size:
+            h = hits[0]
+            return _report(False, 3, (head, int(nb[i[h]]), int(nb[j[h]])), link)
+    # anomalous edges: any third vertex is a direction, joined by plain keys
+    if ax.size:
+        d = keys[keys % n < cb]
+        both = np.sort(np.concatenate([d, d % n * n + d // n]))
+
+        def around(v):
+            lo, hi = np.searchsorted(both, [v * n, v * n + n])
+            return both[lo:hi] % n
+
+        for u, v in zip(ax.tolist(), ay.tolist()):
+            common = np.intersect1d(around(u), around(v))
+            if common.size:
+                return _report(False, 3, (u, v, int(common[0])), link)
     return _report(True, None, None, link)
 
 
 @dataclass(frozen=True)
 class SeparationReport:
     """Minimum pairwise link distance over a marked direction set
-    (depth-limited: distances >= 4 are reported as the bound)."""
+    (exact below 4: distances >= 4 are reported as the bound)."""
 
     ok: bool
     min_distance: int | None  # exact when < 4, else None (>= 4)
@@ -645,54 +640,66 @@ class SeparationReport:
 
 
 def check_separation(link: LinkGraph, marked: Sequence[int]) -> SeparationReport:
-    """BFS to depth 3 from every marked direction; ok iff no other marked
-    direction is reached (all pairwise distances >= 4 = 2*pi).
+    """Smallest pairwise link distance (< 4) among the marked directions;
+    ok iff every pair is at distance >= 4 = 2*pi.
 
-    Sources run in increasing id order.  Each BFS level gathers the CSR
-    rows of its frontier in frontier order, so vertices are discovered in
-    the order of a queue-based BFS; the witness is the first marked vertex
-    discovered at the smallest depth, from the first source reaching it.
-    Marked ids outside the link's vertex range are never reached and
-    start no search."""
+    Scans of the edge array decide the distance: 1 if an edge joins two
+    marked vertices, else 2 if a vertex has two distinct marked
+    neighbours, else (each vertex now having at most one, its owner) 3
+    iff an edge joins vertices with two different owners.  The witness
+    is that of a breadth-first search from every marked direction in
+    increasing id order: its source is the smallest marked vertex at
+    that distance, and one search from it, gathering each level's
+    frontier neighbours in frontier order as a queue would, names the
+    first marked vertex it discovers.  Marked ids outside the link's
+    vertex range are never reached."""
     marked = np.asarray(sorted(set(int(x) for x in marked)), dtype=np.int64)
     if marked.size == 0:
         raise InvalidInputError("marked set is empty")
     if marked[0] < 0:
         raise InvalidInputError(f"negative direction id {int(marked[0])}")
-    indptr, dst, n = link.csr()
-    sources = marked[marked < n]
+    e = link.edges
+    n = int(e.max()) + 1 if e.size else 1
     is_marked = np.zeros(n, dtype=bool)
-    is_marked[sources] = True
-    best: tuple[int, int, int] | None = None  # (dist, src, tgt)
-    for src in sources.tolist():
-        # only a strictly shorter distance can replace the witness
-        max_depth = 3 if best is None else best[0] - 1
-        seen = np.zeros(n, dtype=bool)
-        seen[src] = True
-        frontier = np.array([src], dtype=np.int64)
-        for depth in range(1, max_depth + 1):
-            # the frontier's CSR rows, concatenated in frontier order
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            offsets = np.cumsum(counts) - counts
-            reached = dst[np.repeat(starts - offsets, counts)
-                          + np.arange(int(counts.sum()))]
-            reached = reached[~seen[reached]]
-            hits = np.flatnonzero(is_marked[reached])
-            if hits.size:
-                best = (depth, src, int(reached[hits[0]]))
-                break
-            if depth == max_depth:
-                break
-            _, first = np.unique(reached, return_index=True)
-            frontier = reached[np.sort(first)]
-            seen[frontier] = True
-    if best is None:
+    is_marked[marked[marked < n]] = True
+    a, b = e[:, 0], e[:, 1]
+    ma, mb = is_marked[a], is_marked[b]
+    d, ends = 1, e[ma & mb & (a != b)]
+    if not ends.size:
+        one = np.flatnonzero(ma != mb)
+        m = np.where(ma[one], a[one], b[one])
+        v = a[one] + b[one] - m
+        owner = np.full(n, -1)
+        owner[v] = m
+        split = np.zeros(n, dtype=bool)
+        split[v[owner[v] != m]] = True
+        d, ends = 2, m[split[v]]
+    if not ends.size:
+        owned = owner >= 0
+        both = np.flatnonzero(owned[a] & owned[b])
+        oa, ob = owner[a[both]], owner[b[both]]
+        d, ends = 3, np.concatenate([oa, ob])[np.tile(oa != ob, 2)]
+    if not ends.size:
         return SeparationReport(True, None, None, None, int(marked.size))
-    d, a, b = best
+    src = int(ends.min())
+    indptr, dst, _ = link.csr()
+    seen = np.zeros(n, dtype=bool)
+    seen[src] = True
+    frontier = np.array([src], dtype=np.int64)
+    for _ in range(d):
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        reached = dst[np.repeat(starts - offsets, counts)
+                      + np.arange(int(counts.sum()))]
+        reached = reached[~seen[reached]]
+        _, first = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(first)]
+        seen[frontier] = True
+    tgt = int(reached[is_marked[reached]][0])
     return SeparationReport(
-        False, d, (a, b),
-        (link.vertex_name(a), link.vertex_name(b)), int(marked.size),
+        False, d, (src, tgt),
+        (link.vertex_name(src), link.vertex_name(tgt)), int(marked.size),
     )
 
 

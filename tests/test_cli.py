@@ -258,7 +258,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestGoldenBytes:
     """Output bytes recorded before certification moved to one-round
-    folding on arrays; the fast path must not change a byte."""
+    folding on arrays and the link checks to edge scans; neither fast
+    path may change a byte."""
 
     @pytest.mark.parametrize("args,name", [
         (["export-dot", "--block", "1", "14", "14", "--what", "stallings",
@@ -266,8 +267,25 @@ class TestGoldenBytes:
         (["export-dot", "--chain", "2", "5", "--what", "stallings"],
          "chain_2_5_stallings.dot"),
         (["verify", "--chain", "2", "5", "--full"], "verify_chain_2_5_full.json"),
+        # fails with a girth-2 and a distance-3 separation witness, so it
+        # pins the witness bytes of both link checks
+        (["verify", "--double", "25", "125", "5", "--full"],
+         "verify_double_25_125_5_full.json"),
     ])
     def test_same_bytes(self, tmp_path, args, name):
         out = tmp_path / name
         run(args + ["--out", str(out)])
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.ladder
+def test_ladder_double_289_passes(tmp_path):
+    """The next ladder double after the paper's, G(289, 4913, 17): every
+    check of ``verify --full`` passes.  Opt-in (``pytest -m ladder``):
+    about 20 s and 2.7 GB."""
+    rpt = tmp_path / "report.json"
+    code, _ = run(["verify", "--double", "289", "4913", "17", "--full",
+                   "--out", str(rpt)])
+    doc = json.loads(rpt.read_text())
+    assert code == 0 and doc["ok"]
+    assert [c["status"] for c in doc["checks"]] == ["ok"] * 6

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from catdistort.errors import InvalidInputError, InvalidParameterError
 from catdistort.linkgeom import (
+    GirthReport,
     LinkGraph,
     SeparationReport,
     build_level_link,
@@ -204,12 +205,14 @@ class TestGirth:
         rep = check_large_link(bad)
         assert not rep.ok and rep.combinatorial_girth == 2
 
-    def test_sorted_keys_left_by_girth_check(self):
+    def test_girth_check_leaves_the_link_as_it_was(self):
+        # the girth check reads the edge array and keeps nothing on the
+        # link: no adjacency arrays, no cached keys, edges untouched
         link = build_link(build_block(BlockParams(2, 28, 14)))
+        before, edges = dict(vars(link)), link.edges.copy()
         assert check_large_link(link).ok
-        fresh = LinkGraph(link.n_gens, link.edges, link.chord_base)
-        assert np.array_equal(link._keys(), fresh._keys())
-        assert link._key_mod == fresh._key_mod
+        assert vars(link).keys() == before.keys() and link._csr is None
+        assert np.array_equal(link.edges, edges)
 
     def test_monotone_adding_cells(self):
         # girth can only drop (or stay) as cells accumulate
@@ -242,6 +245,11 @@ class TestSeparation:
         g = LinkGraph.from_named_edges([(("d", 1, 0), ("d", 1, 1))], n_gens=1)
         rep = check_separation(g, [0, 1])
         assert not rep.ok and rep.min_distance == 1
+
+    def test_passing_check_builds_no_adjacency(self):
+        link = build_link(build_block(BlockParams(2, 28, 14)))
+        assert check_separation(link, link.marked["stable-0"]).ok
+        assert link._csr is None
 
     def test_removing_marked_vertices_never_decreases(self):
         spec = build_block(BlockParams(2, 28, 14))
@@ -337,7 +345,7 @@ class TestSeparationOracle:
             rows.setdefault(b, []).append(a)
         indptr, dst, n = link.csr()
         for v in range(n):
-            assert link.neighbors(v).tolist() == rows.get(v, [])
+            assert dst[indptr[v]:indptr[v + 1]].tolist() == rows.get(v, [])
 
     def test_paper_chain_level_link(self):
         lk = build_level_link(build_chain(2, 14, certify=False), 1)
@@ -390,6 +398,202 @@ class TestSeparationEdgeCases:
     def test_distance_four_passes(self):
         rep = check_separation(self.path(4), [0, 4])
         assert rep.ok and rep.min_distance is None and rep.witness_pair is None
+
+
+def _report(ok, girth, witness, link):
+    names = tuple(link.vertex_name(v) for v in witness) if witness else None
+    return GirthReport(ok, girth, tuple(witness) if witness else None,
+                       names, link.n_edges)
+
+
+def _girth_reference(link):
+    """The girth checker's reference: one sort of every edge key, each
+    chord vertex's neighbours from a stable argsort, pairwise lookups in
+    the sorted keys, and common-neighbour sets read off the adjacency
+    arrays for the anomalous (same-parity direction) edges."""
+    e = link.edges
+    if e.size == 0:
+        return _report(True, None, None, link)
+    # length 1: self-loops
+    loops = e[:, 0] == e[:, 1]
+    if loops.any():
+        v = int(e[loops][0, 0])
+        return _report(False, 1, (v,), link)
+    # length 2: doubled edges
+    u = np.minimum(e[:, 0], e[:, 1])
+    v = np.maximum(e[:, 0], e[:, 1])
+    n = int(e.max()) + 2
+    keys = u.astype(np.int64) * n + v
+    uniq, counts = np.unique(keys, return_counts=True)
+    dup = counts > 1
+    if dup.any():
+        k = int(uniq[dup][0])
+        return _report(False, 2, (k // n, k % n), link)
+
+    def has_edges(pairs):
+        k = np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+        idx = np.minimum(np.searchsorted(uniq, k), uniq.size - 1)
+        return uniq[idx] == k
+
+    def neighbors(x):
+        indptr, dst, size = link.csr()
+        return dst[indptr[x]:indptr[x + 1]] if x < size else dst[:0]
+
+    # length 3: triangles
+    cb = link.chord_base
+    both_dir = (e[:, 0] < cb) & (e[:, 1] < cb)
+    anomalous = e[both_dir][(e[both_dir, 0] % 2) == (e[both_dir, 1] % 2)]
+    # (a) triangles through an interior vertex
+    chord_mask = (e[:, 0] >= cb) | (e[:, 1] >= cb)
+    ce = e[chord_mask]
+    if ce.size:
+        # an edge may join two interior vertices; check it from both sides
+        cv = np.concatenate([ce[:, 0], ce[:, 1]])
+        other = np.concatenate([ce[:, 1], ce[:, 0]])
+        keep = cv >= cb
+        cv, other = cv[keep], other[keep]
+        order = np.argsort(cv, kind="stable")
+        cv, other = cv[order], other[order]
+        uniq_cv, starts, counts_cv = np.unique(cv, return_index=True,
+                                               return_counts=True)
+        deg2 = np.flatnonzero(counts_cv == 2)
+        if deg2.size:
+            idx2 = starts[deg2]
+            pairs2 = np.stack([other[idx2], other[idx2 + 1]], axis=1)
+            heads2 = uniq_cv[deg2]
+            hits = (has_edges(pairs2)
+                    & (pairs2[:, 0] != pairs2[:, 1])
+                    & (pairs2[:, 0] != heads2) & (pairs2[:, 1] != heads2))
+            if hits.any():
+                i = int(np.flatnonzero(hits)[0])
+                return _report(
+                    False, 3,
+                    (int(heads2[i]), int(pairs2[i, 0]), int(pairs2[i, 1])),
+                    link)
+        for idx in np.flatnonzero(counts_cv > 2).tolist():
+            lo = int(starts[idx])
+            hi = lo + int(counts_cv[idx])
+            nbrs = other[lo:hi]
+            head = int(uniq_cv[idx])
+            for i in range(nbrs.size):
+                for j in range(i + 1, nbrs.size):
+                    a, b = int(nbrs[i]), int(nbrs[j])
+                    if a == b or a == head or b == head:
+                        continue
+                    if has_edges(np.array([[a, b]]))[0]:
+                        return _report(False, 3, (head, a, b), link)
+    # (b) triangles through an anomalous direction-direction edge
+    for a, b in anomalous.tolist():
+        na = set(neighbors(a).tolist())
+        nb = set(neighbors(b).tolist())
+        common = (na & nb) - {a, b}
+        if common:
+            c = min(common)
+            return _report(False, 3, (a, b, c), link)
+    return _report(True, None, None, link)
+
+
+def random_chord_link(rng):
+    """A multigraph over directions (ids below ``chord_base``, both
+    parities) and chord vertices given 1-3 edges each, with occasional
+    self-loops and doubled direction-direction, chord-direction and
+    chord-chord edges; edge order and orientation are shuffled."""
+    cb = rng.randint(0, 12)
+    nch = rng.randint(0, 14)
+    n = cb + nch
+    if n == 0:
+        return LinkGraph(0, np.empty((0, 2), np.int64), 0)
+    edges = [(rng.randrange(cb), rng.randrange(cb))
+             for _ in range(rng.randint(0, 2 * cb))] if cb else []
+    edges = [(x, y) for x, y in edges if x != y]
+    for c in range(cb, n):
+        edges += [(c, rng.randrange(n)) for _ in range(rng.choice((1, 2, 2, 2, 3)))]
+    edges = [(x, y) for x, y in edges if x != y]
+    for _ in range(rng.choice((0, 0, 0, 1))):
+        v = rng.randrange(n)
+        edges.append((v, v))
+    if edges:
+        edges += [rng.choice(edges) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    rng.shuffle(edges)
+    edges = [(y, x) if rng.random() < 0.5 else (x, y) for x, y in edges]
+    return LinkGraph(0, np.asarray(edges, dtype=np.int64).reshape(-1, 2), cb)
+
+
+def without_repeats(link):
+    """The link with every repeated edge kept once, so that the girth
+    check gets past doubled edges to the triangle search."""
+    n = int(link.edges.max()) + 1
+    keys = np.unique(link.edges.min(axis=1) * n + link.edges.max(axis=1))
+    return LinkGraph(link.n_gens, np.stack([keys // n, keys % n], axis=1),
+                     link.chord_base, alphabet=link.alphabet)
+
+
+class TestGirthOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_chord_multigraphs(self, seed):
+        link = random_chord_link(random.Random(seed))
+        assert check_large_link(link) == _girth_reference(link)
+
+    def test_seeded_chord_multigraphs(self):
+        # every outcome and every triangle path is met by the sweep
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(3000):
+            link = random_chord_link(rng)
+            rep = check_large_link(link)
+            assert rep == _girth_reference(link), link.edges.tolist()
+            kind = rep.combinatorial_girth
+            if kind == 3:
+                head = rep.witness[0]
+                kind = ("anomalous edge" if head < link.chord_base else
+                        f"degree-{min(np.count_nonzero(link.edges == head), 3)} chord")
+            seen.add(kind)
+        assert seen == {None, 1, 2, "degree-2 chord", "degree-3 chord",
+                        "anomalous edge"}
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_link(build_block(BlockParams(2, 28, 14))),
+        lambda: build_link(build_chain(2, 14, certify=False)),
+        lambda: build_level_link(build_chain(2, 14, certify=False), 1),
+    ], ids=["block_2_28_14", "chain_2_14_union", "chain_2_14_level_1"])
+    def test_built_links(self, make):
+        link = make()
+        rep = check_large_link(link)
+        assert rep.ok and rep == _girth_reference(link)
+
+    @pytest.mark.parametrize("L", [5, 8, 11])
+    def test_smallest_doubles(self, L):
+        link = build_link(build_double(L * L, L ** 3, L, certify=False))
+        for g in (link, without_repeats(link)):
+            rep = check_large_link(g)
+            assert rep == _girth_reference(g)
+            assert not rep.ok
+
+    def test_duplicated_row(self):
+        link = build_link(build_block(BlockParams(1, 14, 14)))
+        e = link.edges
+        for row in (0, 1, e.shape[0] - 1):
+            bad = LinkGraph(link.n_gens, np.vstack([e, e[row:row + 1]]),
+                            link.chord_base)
+            rep = check_large_link(bad)
+            assert rep == _girth_reference(bad)
+            assert rep.combinatorial_girth == 2
+
+
+class TestEdgelessLink:
+    def link(self):
+        return LinkGraph(0, np.empty((0, 2), np.int64), 0)
+
+    def test_girth(self):
+        rep = check_large_link(self.link())
+        assert rep.ok and rep == _girth_reference(self.link())
+
+    def test_separation(self):
+        link = self.link()
+        rep = check_separation(link, [0, 1])
+        assert rep.ok and rep == _separation_reference(self.link(), [0, 1])
+        assert link._csr is None
 
 
 class TestChainGluing:
