@@ -622,9 +622,7 @@ def _sample_f_word(spec: GroupSpec, k: int, rng) -> Word:
                 endo = lv.endos[t_ids.index(t)]
                 core = [x]
                 for _ in range(p):
-                    local = [y // abs(y) * (a_ids.index(abs(y)) + 1)
-                             for y in core]
-                    core = list(endo.apply(local))
+                    core = list(endo.apply(core))
                 chunk = [-t] * p + core + [t] * p
             else:
                 chunk = [t] * p + [x] + [-t] * p

@@ -460,12 +460,15 @@ class PositiveEndomorphism:
     """A map from a rank-m free group sending the j-th generator to a
     positive word of uniform length L over the codomain alphabet.
 
-    Domain letters are 1..m.  The image family must be free of repeated
-    ordered two-letter subwords (checked at construction); this is what
-    keeps folding shallow and junction cancellation short.
+    The j-th domain letter is the global id ``domain_ids[j]`` (1..m by
+    default; distinct and positive, checked on first use): :meth:`apply`
+    reads words over these ids and preimages come back in them.  The
+    image family must be free of repeated ordered two-letter subwords
+    (checked at construction); this is what keeps folding shallow and
+    junction cancellation short.
     """
 
-    def __init__(self, images, domain_alphabet=None, codomain_alphabet=None):
+    def __init__(self, images, domain_ids: Sequence[int] | None = None):
         arr = np.asarray(images, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidParameterError(
@@ -478,22 +481,33 @@ class PositiveEndomorphism:
             raise PairRepetitionError(
                 f"image family repeats ordered pairs: {report.duplicates[:5]}"
             )
+        m = int(arr.shape[0])
+        if domain_ids is None:
+            domain_ids = tuple(range(1, m + 1))
+        elif len(domain_ids) != m:
+            raise InvalidParameterError(f"domain_ids must name {m} letters")
         self.images = arr
-        self.domain_rank = int(arr.shape[0])
+        self.domain_rank = m
         self.length = int(arr.shape[1])
-        self.domain_alphabet = domain_alphabet
-        self.codomain_alphabet = codomain_alphabet
-        self._rows_cache: tuple[list[Word], list[Word]] | None = None
+        self.domain_ids = domain_ids  # shared with the level, not copied
+        self._image_cache: dict[int, Word] | None = None
         self._graph: StallingsGraph | None = None
         self._words_cache: tuple[list[Word], list[Word]] | None = None
         self._certificate: InjectivityCertificate | None = None
 
-    def _rows(self) -> tuple[list[Word], list[Word]]:
-        """The images as tuples, and their inverses."""
-        if self._rows_cache is None:
+    def _image_of(self) -> dict[int, Word]:
+        """Signed domain letter -> its image (the row, or its inverse).
+        Every call that reads ``domain_ids`` comes here before it returns,
+        so this is where they are checked to be distinct and positive."""
+        if self._image_cache is None:
             rows = [tuple(r) for r in self.images.tolist()]
-            self._rows_cache = (rows, [invert(r) for r in rows])
-        return self._rows_cache
+            by_id = dict(zip(self.domain_ids, rows))
+            by_id.update((-g, invert(r)) for g, r in zip(self.domain_ids, rows))
+            if len(by_id) != 2 * self.domain_rank or min(self.domain_ids) < 1:
+                raise InvalidParameterError(
+                    "domain_ids must be distinct positive letter ids")
+            self._image_cache = by_id
+        return self._image_cache
 
     # -- image subgroup graph ------------------------------------------
 
@@ -568,16 +582,18 @@ class PositiveEndomorphism:
     # -- applying -------------------------------------------------------
 
     def apply(self, word: Sequence[int]) -> Word:
-        """Freely reduced image of a word over the domain letters."""
-        rows, neg = self._rows()
+        """Freely reduced image of a word over the domain letters;
+        :class:`InvalidInputError` names a letter outside the domain."""
+        image_of = self._image_of()
         out: list[int] = []
         positive = True
         for x in word:
-            if x > 0:
-                out.extend(rows[x - 1])
-            else:
+            img = image_of.get(x)
+            if img is None:
+                raise InvalidInputError(f"letter {x!r} is not in the map's domain")
+            if x < 0:
                 positive = False
-                out.extend(neg[-x - 1])
+            out.extend(img)
         if positive:
             return tuple(out)
         return free_reduce(out)
@@ -599,8 +615,9 @@ class PositiveEndomorphism:
         return v
 
     def try_preimage(self, word: Sequence[int]) -> Word | None:
-        """The preimage of word, or None when the reduced word does not
-        trace a closed path at the base (it is not in the image).
+        """The preimage of word over the domain letters, or None when the
+        reduced word does not trace a closed path at the base (it is not
+        in the image).
 
         One trace of the folded graph decides membership and multiplies
         the petal words of the edges it crosses, inverted on edges crossed
@@ -613,7 +630,9 @@ class PositiveEndomorphism:
         graph = self.graph
         out, inc = graph._tables()
         if self._words_cache is None:
-            words = graph.petal_words()
+            dom = self.domain_ids
+            words = [tuple(dom[y - 1] if y > 0 else -dom[-y - 1] for y in pw)
+                     for pw in graph.petal_words()]
             self._words_cache = (words, [invert(x) for x in words])
         fwd, bwd = self._words_cache
         read: list[int] = []

@@ -21,8 +21,6 @@ from .folding import PositiveEndomorphism
 from .presentations import GroupSpec, retractions
 from .words import Word, free_reduce, invert
 
-_NP_APPLY_THRESHOLD = 1024
-
 #: cap on the letters one forward pinch may produce (t u t^-1 -> phi(u))
 REDUCE_LETTER_CAP = 1 << 22
 
@@ -42,7 +40,7 @@ class TraceStep:
     letter's endomorphism (forward: t u t^-1 -> phi(u); backward:
     t^-1 u t -> phi^-1(u))."""
 
-    position: int
+    position: int  # letters before the opener, at its level's scan
     stable: int
     direction: str  # "forward" | "backward"
     pre_length: int
@@ -63,16 +61,12 @@ class ReductionTrace:
 
 
 class _Level:
-    """Compiled level: stable-letter lookup plus local/global letter maps."""
+    """Compiled level: stable-letter lookup and the domain/codomain sets."""
 
     def __init__(self, lv, index: int):
-        self.spec = lv
         self.index = index
         self.stable: dict[int, int] = {g: i for i, g in enumerate(lv.stable_ids)}
         self.endos = lv.endos
-        self.domain_ids = lv.domain_ids
-        self.codomain_ids = lv.codomain_ids
-        self.dom_pos = {g: p + 1 for p, g in enumerate(lv.domain_ids)}
         self.cod_set = frozenset(lv.codomain_ids)
         self.dom_set = frozenset(lv.domain_ids)
         self.dom_kind = lv.dom_kind
@@ -107,18 +101,12 @@ class WordProblem:
             if not isinstance(x, (int, np.integer)) or x == 0 or abs(x) > self.n_gens:
                 raise InvalidInputError(f"letter {x!r} outside the alphabet")
 
-    def _apply(self, endo: PositiveEndomorphism, local: list[int]) -> list[int]:
-        if len(local) >= _NP_APPLY_THRESHOLD and min(local) > 0:
-            arr = np.asarray(local, dtype=np.int64)
-            return endo.images[arr - 1].ravel().tolist()
-        return list(endo.apply(local))
-
     def _accept(self, lvl: _Level, ids: frozenset, kind: str, u: list[int]):
         """The word over ``ids`` (the level's domain or codomain letters,
         of the given kind) equal to u, or None."""
         if kind == "base":
             return u  # segments at a base level are already subgroup words
-        w = self._reduce(list(u), lvl.index + 1, None)[0]
+        w = self._reduce(u, lvl.index + 1, None)[0]
         if all(abs(x) in ids for x in w):
             return w
         if kind == "reduce":
@@ -134,7 +122,7 @@ class WordProblem:
     def _pinch(self, lvl: _Level, gid: int, closer_sign: int,
                u: list[int]):
         """Replacement word for opener (g, -closer_sign), u, closer, or
-        None when the pair does not pinch."""
+        None when the pair does not pinch, with the pinch's direction."""
         endo = lvl.endos[lvl.stable[gid]]
         if closer_sign == -1:
             # t u t^-1 with u in F(domain): expand through the endomorphism
@@ -142,28 +130,25 @@ class WordProblem:
             if c is None:
                 return None, "forward"
             _check_expansion(len(c), endo)
-            local = [x // abs(x) * lvl.dom_pos[abs(x)] for x in c]
-            return self._apply(endo, local), "forward"
+            return endo.apply(c), "forward"
         # t^-1 u t with u in the image subgroup: rewrite back
         c = self._accept(lvl, lvl.cod_set, lvl.cod_kind, u)
         if c is None:
             return None, "backward"
-        local = endo.try_preimage(c)
-        if local is None:
-            return None, "backward"
-        dom = lvl.domain_ids
-        return [x // abs(x) * dom[abs(x) - 1] for x in local], "backward"
+        return endo.try_preimage(c), "backward"
 
-    def _reduce_block_flat(self, letters) -> tuple[list[int], bool]:
-        """Allocation-light scan for the common single-level shape
-        (stable letters over a free base); semantics identical to the
-        generic reducer, which the test suite cross-checks.  Returns the
-        reduced word and whether a stable letter survived."""
-        lvl = self.levels[0]
+    def _reduce(self, letters: Sequence[int], k: int,
+                trace: ReductionTrace | None) -> tuple[list[int], bool]:
+        """Reduce from level k down; returns the reduced word and whether
+        a stable letter survived (else every letter is a base letter).
+
+        One flat stack holds the letters; ``marks`` holds the positions
+        of the level's stable letters that did not pinch, so the segment
+        a closer encloses is everything after the last mark."""
+        if k >= self.n_levels:
+            return list(free_reduce(letters)), False
+        lvl = self.levels[k]
         stable = lvl.stable
-        endos = lvl.endos
-        dom_pos = lvl.dom_pos
-        dom = lvl.domain_ids
         stack: list[int] = []
         marks: list[int] = []
         for x in letters:
@@ -172,24 +157,16 @@ class WordProblem:
                 if marks and stack[marks[-1]] == -x:
                     oi = marks[-1]
                     u = stack[oi + 1:]
-                    endo = endos[stable[g]]
-                    repl = None
-                    if x < 0:
-                        _check_expansion(len(u), endo)
-                        local = [y // abs(y) * dom_pos[abs(y)] for y in u]
-                        repl = endo.apply(local)
-                    else:
-                        pre = endo.try_preimage(u)
-                        if pre is not None:
-                            repl = [y // abs(y) * dom[abs(y) - 1] for y in pre]
+                    repl, direction = self._pinch(lvl, g, 1 if x > 0 else -1, u)
                     if repl is not None:
+                        if trace is not None:
+                            trace.record(position=oi, stable=g,
+                                         direction=direction,
+                                         pre_length=len(u) + 2,
+                                         post_length=len(repl), level=k)
                         del stack[oi:]
                         marks.pop()
-                        i, n = 0, len(repl)
-                        while stack and i < n and stack[-1] == -repl[i]:
-                            stack.pop()
-                            i += 1
-                        stack.extend(repl[i:])
+                        _merge(stack, repl)
                         continue
                 marks.append(len(stack))
                 stack.append(x)
@@ -197,75 +174,21 @@ class WordProblem:
                 stack.pop()
             else:
                 stack.append(x)
-        return stack, bool(marks)
-
-    def _reduce(self, letters: list[int], k: int,
-                trace: ReductionTrace | None) -> tuple[list[int], bool]:
-        """Reduce from level k down; returns the reduced word and whether
-        a stable letter survived (else every letter is a base letter)."""
-        if k >= self.n_levels:
-            return list(free_reduce(letters)), False
-        if k == 0 and trace is None and self.n_levels == 1 \
-                and self.levels[0].dom_kind == "base":
-            return self._reduce_block_flat(letters)
-        lvl = self.levels[k]
-        stable = lvl.stable
-        stack: list = []  # ("b", list) / ("s", gid, sign)
-        for x in letters:
-            g = abs(x)
-            if g not in stable:
-                if stack and stack[-1][0] == "b":
-                    seg = stack[-1][1]
-                    if seg and seg[-1] == -x:
-                        seg.pop()
-                    else:
-                        seg.append(x)
-                else:
-                    stack.append(("b", [x]))
-                continue
-            e = 1 if x > 0 else -1
-            # locate a possible opener for this closer
-            if stack and stack[-1][0] == "b":
-                u = stack[-1][1]
-                oi = len(stack) - 2
-            else:
-                u = []
-                oi = len(stack) - 1
-            if oi >= 0 and stack[oi][0] == "s" and stack[oi][1] == g \
-                    and stack[oi][2] == -e:
-                repl, direction = self._pinch(lvl, g, e, u)
-                if repl is not None:
-                    if trace is not None:
-                        pos = sum(
-                            1 if it[0] == "s" else len(it[1])
-                            for it in stack[:oi]
-                        )
-                        trace.record(position=pos, stable=g,
-                                     direction=direction,
-                                     pre_length=len(u) + 2,
-                                     post_length=len(repl), level=k)
-                    del stack[oi:]
-                    if stack and stack[-1][0] == "b":
-                        _merge(stack[-1][1], repl)
-                    elif repl:
-                        stack.append(("b", list(repl)))
-                    continue
-            stack.append(("s", g, e))
-        # recursively normalize the surviving segments; at the last level
-        # they hold base letters only and are already reduced
-        last = k == self.n_levels - 1
+        if k == self.n_levels - 1:
+            # the segments hold base letters only and are already reduced
+            return stack, bool(marks)
+        # reduce the segments between surviving stable letters one level down
         out: list[int] = []
-        survived = False
-        for item in stack:
-            if item[0] == "s":
-                out.append(item[1] * item[2])
-                survived = True
-            else:
-                seg = item[1]
-                if not last and any(abs(y) not in self.base_set for y in seg):
-                    seg, left = self._reduce(seg, k + 1, trace)
-                    survived = survived or left
-                _merge(out, seg)
+        survived = bool(marks)
+        start = 0
+        for end in marks + [len(stack)]:
+            seg = stack[start:end]
+            if any(abs(y) not in self.base_set for y in seg):
+                seg, left = self._reduce(seg, k + 1, trace)
+                survived = survived or left
+            out.extend(seg)
+            out.extend(stack[end:end + 1])  # the stable letter, if any
+            start = end + 1
         return out, survived
 
     # -- public operations ---------------------------------------------------
@@ -315,7 +238,6 @@ class WordProblem:
             return None
         lvl = self.levels[0]
         stable = lvl.stable
-        dom = lvl.domain_ids
         out: list[int] = []
         pending: list[int] = []
         for x in red:
@@ -331,16 +253,14 @@ class WordProblem:
                 # pending t^-1 = t^-1 phi(pending)
                 out.append(x)
                 _check_expansion(len(pending), endo)
-                local = [y // abs(y) * lvl.dom_pos[abs(y)] for y in pending]
-                pending = list(endo.apply(local))
+                pending = list(endo.apply(pending))
             else:
                 # pending t = rep t phi^-1(member)
                 rep = invert(endo.coset_rep(invert(pending)))
                 member = list(free_reduce(invert(rep) + tuple(pending)))
                 out.extend(rep)
                 out.append(x)
-                local = endo.preimage(member)
-                pending = [y // abs(y) * dom[abs(y) - 1] for y in local]
+                pending = list(endo.preimage(member))
         out.extend(pending)
         return tuple(out)
 

@@ -267,7 +267,7 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
     if not check_pair_uniqueness(all_images).ok:
         raise ConstructionError("image family repeats an ordered pair")
     endos = tuple(
-        PositiveEndomorphism(all_images[i * m:(i + 1) * m])
+        PositiveEndomorphism(all_images[i * m:(i + 1) * m], a_ids)
         for i in range(n)
     )
     level = LevelSpec(t_ids, a_ids, a_ids, endos, dom_kind="base",
@@ -318,7 +318,7 @@ def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
             raise ConstructionError("image family repeats an ordered pair")
         rdom = len(domain)
         endos = tuple(
-            PositiveEndomorphism(fam[i * rdom:(i + 1) * rdom])
+            PositiveEndomorphism(fam[i * rdom:(i + 1) * rdom], domain)
             for i in range(len(stable))
         )
         dom_kind = "base" if k == l - 1 else "retract"
@@ -368,9 +368,10 @@ def build_double(n: int, m: int, L: int = 14,
     if not check_pair_uniqueness(a_fam).ok or not check_pair_uniqueness(t_fam).ok:
         raise ConstructionError("image family repeats an ordered pair")
     t_endos = tuple(
-        PositiveEndomorphism(a_fam[i * m:(i + 1) * m]) for i in range(n)
+        PositiveEndomorphism(a_fam[i * m:(i + 1) * m], a_ids)
+        for i in range(n)
     )
-    s_endo = (PositiveEndomorphism(t_fam),)
+    s_endo = (PositiveEndomorphism(t_fam, a_ids),)
     s_level = LevelSpec((s_id,), a_ids, t_ids, s_endo,
                         dom_kind="reduce", cod_kind="retract")
     t_level = LevelSpec(t_ids, a_ids, a_ids, t_endos,

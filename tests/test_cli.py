@@ -258,8 +258,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestGoldenBytes:
     """Output bytes recorded before certification moved to one-round
-    folding on arrays and the link checks to edge scans; neither fast
-    path may change a byte."""
+    folding on arrays, the link checks to edge scans and the reducer to
+    one flat stack over global letter ids; none of these may change a
+    byte."""
 
     @pytest.mark.parametrize("args,name", [
         (["export-dot", "--block", "1", "14", "14", "--what", "stallings",
@@ -271,6 +272,17 @@ class TestGoldenBytes:
         # pins the witness bytes of both link checks
         (["verify", "--double", "25", "125", "5", "--full"],
          "verify_double_25_125_5_full.json"),
+        # pinches at level 0 (position 1) and at level 1 (position 4)
+        (["reduce", "--double", "9", "27", "3", "--word",
+          "a2 s a1 s^-1 t1 a3 t1^-1 s^-1 t1 t1 t1 s a4"],
+         "reduce_double_9_27_3.json"),
+        # forward pinches at both levels and a backward one at level 1
+        (["reduce", "--chain", "2", "5", "--word",
+          "a5^(2) t1 a1^(1) t1^-1 a1^(2) a3^(1)^-1 t1 a2^(1)^-1 a6^(2) "
+          "a4^(2) a7^(2) a4^(2) a8^(2) a2^(1)"], "reduce_chain_2_5.json"),
+        (["build", "--block", "1", "2", "2"], "build_block_1_2_2.json"),
+        (["witness", "--double", "9", "27", "3", "--k", "2"],
+         "witness_double_9_27_3_k2.json"),
     ])
     def test_same_bytes(self, tmp_path, args, name):
         out = tmp_path / name

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from catdistort.errors import (
     ConstructionError,
     InvalidInputError,
+    InvalidParameterError,
     NotInImageError,
     PairRepetitionError,
 )
@@ -330,6 +331,56 @@ class TestPreimage:
                 assert len(v) <= len(w)
 
 
+class TestDomainLetters:
+    """A map reads and returns the global ids of its level's domain."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return build_chain(2, 5, certify=False)
+
+    def test_builders_share_the_level_domain(self, chain):
+        for lv in chain.levels:
+            assert all(phi.domain_ids is lv.domain_ids for phi in lv.endos)
+
+    def test_chain_preimage_is_over_the_level_domain(self, chain):
+        rng = random.Random(12)
+        for lv in chain.levels:
+            dom = lv.domain_ids
+            for phi in lv.endos:
+                a1 = dom[0]
+                assert phi.preimage(phi.apply((a1,))) == (a1,)
+                for _ in range(20):
+                    v = free_reduce([rng.choice(dom) * rng.choice((1, -1))
+                                     for _ in range(rng.randrange(1, 7))])
+                    w = phi.apply(v)
+                    u = phi.preimage(w)
+                    assert u == v and phi.apply(u) == w
+
+    @pytest.mark.parametrize("letter", [0, 99, -99, 1, -1])
+    def test_apply_refuses_letters_outside_the_domain(self, chain, letter):
+        # 1 is the chain's t, which is not in the level-1 domain a^(2)
+        phi = chain.levels[1].endos[0]
+        with pytest.raises(InvalidInputError, match=f"letter {letter} "):
+            phi.apply((phi.domain_ids[0], letter))
+
+    def test_default_domain_refuses_zero(self):
+        phi = PositiveEndomorphism(sigma_family(14, 14, 14))
+        assert phi.domain_ids == tuple(range(1, 15))
+        with pytest.raises(InvalidInputError, match="letter 0 "):
+            phi.apply((0,))
+
+    def test_domain_ids_must_name_every_row(self):
+        with pytest.raises(InvalidParameterError):
+            PositiveEndomorphism([(1, 2), (2, 3), (3, 1)], (5, 6))
+
+    @pytest.mark.parametrize("ids", [(5, 6, 6), (0, 6, 7), (-5, 6, 7)])
+    def test_domain_ids_checked_before_first_use(self, ids):
+        phi = PositiveEndomorphism([(1, 2), (2, 3), (3, 1)], ids)
+        for use in (lambda: phi.apply((6,)), lambda: phi.preimage((2, 3))):
+            with pytest.raises(InvalidParameterError):
+                use()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 14).flatmap(
     lambda g: st.sampled_from([g, -g])), max_size=30))
@@ -608,8 +659,13 @@ def _parse_oracle(phi, w, budget=None):
             cap = budget if cap is None else min(cap, budget)
         got = _parse(phi, w, allow_fallback, rem_cap, cap)
         if got is not None:
-            return got
+            return _in_domain(phi.domain_ids, got)
     return None
+
+
+def _in_domain(domain_ids, u):
+    """A word over the row numbers 1..m, in the domain's letter ids."""
+    return tuple(domain_ids[y - 1] if y > 0 else -domain_ids[-y - 1] for y in u)
 
 
 def _junction_pairs(rows):
@@ -677,16 +733,18 @@ def _maps_of(spec):
 ], ids=["chain-2-5", "block-1-14-14", "block-1-2-2", "double-9-27-3"])
 def test_graph_read_matches_parse_on_built_groups(build, budget):
     rng = random.Random(31)
-    for phi in _maps_of(build()):
-        pairs = _junction_pairs(phi.images)
-        cases = [(j,) for j in range(1, phi.domain_rank + 1)]
-        cases += [free_reduce(p) for p in rng.sample(pairs, min(3, len(pairs)))]
-        cases += [random_reduced(rng, phi.domain_rank, 5) for _ in range(12)]
-        assert not pairs or any(
-            len(phi.apply(u)) < phi.length * len(u) for u in cases)
-        answered = [_check_read(phi, u, budget) for u in cases]
-        assert budget is not None or all(answered)
-        assert any(answered)
+    for lv in build().levels:
+        for phi in lv.endos:
+            pairs = _junction_pairs(phi.images)
+            cases = [(j,) for j in range(1, phi.domain_rank + 1)]
+            cases += [free_reduce(p) for p in rng.sample(pairs, min(3, len(pairs)))]
+            cases += [random_reduced(rng, phi.domain_rank, 5) for _ in range(12)]
+            cases = [_in_domain(lv.domain_ids, u) for u in cases]
+            assert not pairs or any(
+                len(phi.apply(u)) < phi.length * len(u) for u in cases)
+            answered = [_check_read(phi, u, budget) for u in cases]
+            assert budget is not None or all(answered)
+            assert any(answered)
 
 
 def test_graph_read_matches_parse_on_paper_maps():

@@ -97,7 +97,7 @@ class TestBritton:
             _, tr = britton_reduce(b22, w)
             assert 2 * tr.pinch_count <= len(w)
 
-    def test_flat_reducer_matches_generic(self, b22):
+    def test_reducer_matches_full_scan(self, b22):
         from catdistort.navigator import ReductionTrace
 
         wp = b22.word_problem()
@@ -105,9 +105,11 @@ class TestBritton:
         for _ in range(2500):
             w = [rng.choice([1, -1, 2, -2, 3, -3])
                  for _ in range(rng.randrange(0, 16))]
-            flat = wp._reduce_block_flat(list(w))
-            generic = wp._reduce(list(w), 0, ReductionTrace())
-            assert flat == generic, w
+            want = _full_scan_reduce(wp, list(w), 0)
+            for trace in (None, ReductionTrace()):
+                red, survived = wp._reduce(list(w), 0, trace)
+                assert red == want, w
+                assert survived == any(abs(x) == 3 for x in red), w
 
 
 def _dehn_closure(spec, max_len):
@@ -374,7 +376,7 @@ def _oracle_words(spec, rng, count):
         u = [rng.randint(1, phi.domain_rank) * rng.choice((1, -1))
              for _ in range(rng.randint(1, 3))]
         dom = [(1 if y > 0 else -1) * lv.domain_ids[abs(y) - 1] for y in u]
-        img = list(phi.apply(free_reduce(u)))
+        img = list(phi.apply(free_reduce(dom)))
         if img and rng.random() < 0.3:
             img[rng.randrange(len(img))] = rng.choice(base + stable)
         words.append((t,) + tuple(dom) + (-t,))
