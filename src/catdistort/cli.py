@@ -4,7 +4,7 @@ Subcommands: sigma, build, verify, reduce, ball, distortion, witness,
 export-dot.  Exit codes: 0 all checks passed, 1 a verification failed
 (with a witness in the report), 2 usage or parameter error, 3 an
 enumeration cap was exceeded.  Machine output is deterministic for a
-fixed invocation (seed included), human summaries go to stdout.
+fixed invocation, human summaries go to stdout.
 """
 
 from __future__ import annotations
@@ -13,21 +13,20 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import presentations as P
 from . import linkgeom as LG
 from .distortion import (
-    expr_to_dict,
-    lower_bound_curve,
     normalize,
     tower_geodesic_bounds,
-    upper_bound_audit,
     witness_block,
     witness_chain,
     witness_tower,
 )
 from .errors import CapExceededError, CatDistortError, InvalidParameterError, SpecParseError
 from .navigator import ball, britton_reduce, measure_distortion
-from .words import alphabet_of, sigma
+from .words import alphabet_of, check_pair_uniqueness, sigma
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,7 +44,7 @@ def _add_group_args(p: argparse.ArgumentParser):
     p.add_argument("--spec", type=str, help="path to a spec JSON document")
 
 
-def _load_spec(args, certify=False):
+def _load_spec(args):
     chosen = [x for x in ("block", "chain", "double", "spec")
               if getattr(args, x, None) is not None]
     if len(chosen) != 1:
@@ -55,13 +54,13 @@ def _load_spec(args, certify=False):
     kind = chosen[0]
     if kind == "block":
         n, m, L = args.block
-        return P.build_block(P.BlockParams(n, m, L), certify=certify)
+        return P.build_block(P.BlockParams(n, m, L), certify=False)
     if kind == "chain":
         l, L = args.chain
-        return P.build_chain(l, L, certify=certify)
+        return P.build_chain(l, L, certify=False)
     if kind == "double":
         n, m, L = args.double
-        return P.build_double(n, m, L, certify=certify)
+        return P.build_double(n, m, L, certify=False)
     with open(args.spec) as fh:
         return P.spec_from_json(fh.read())
 
@@ -91,25 +90,20 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    spec = _load_spec(args, certify=False)
+    spec = _load_spec(args)
     _emit(P.spec_to_json(spec), args.out)
     return EXIT_OK
 
 
-def _verify_report(spec, full: bool, seed: int, scheme: str) -> dict:
+def _verify_report(spec, full: bool) -> dict:
     checks = []
 
     def add(name, status, **details):
         checks.append({"name": name, "status": status, **details})
 
     # pair-uniqueness per level family
-    from .words import check_pair_uniqueness
-
     for k, lv in enumerate(spec.levels):
-        fams = [phi.images for phi in lv.endos]
-        import numpy as np
-
-        rep = check_pair_uniqueness(np.vstack(fams))
+        rep = check_pair_uniqueness(np.vstack([phi.images for phi in lv.endos]))
         add(f"pair-uniqueness-level-{k}", "ok" if rep.ok else "failed",
             duplicates=[list(map(list, d)) for d in rep.duplicates[:5]]
             if not rep.ok else [])
@@ -130,9 +124,9 @@ def _verify_report(spec, full: bool, seed: int, scheme: str) -> dict:
             add("injectivity", "failed", witness=str(e))
 
     # link condition; the chain gluing check girth-checks the same union link
-    link = LG.build_link(spec, scheme)
+    link = LG.build_link(spec)
     if spec.structure == "chain":
-        glue = LG.check_chain_gluing(spec, scheme)
+        glue = LG.check_chain_gluing(spec)
         girth = glue.union_girth
     else:
         girth = LG.check_large_link(link)
@@ -153,8 +147,9 @@ def _verify_report(spec, full: bool, seed: int, scheme: str) -> dict:
     return {
         "structure": spec.structure,
         "params": dict(spec.params),
-        "scheme": scheme,
-        "seed": seed,
+        # constant keys, kept so that reports stay byte-identical
+        "scheme": "ladder",
+        "seed": 0,
         "full": full,
         "ok": ok,
         "checks": checks,
@@ -162,8 +157,8 @@ def _verify_report(spec, full: bool, seed: int, scheme: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args, certify=False)
-    report = _verify_report(spec, args.full, args.seed, args.scheme)
+    spec = _load_spec(args)
+    report = _verify_report(spec, args.full)
     for c in report["checks"]:
         line = f"[{c['status']:>7}] {c['name']}"
         if c["status"] == "skipped":
@@ -253,7 +248,7 @@ def _cmd_export_dot(args) -> int:
         phi = lv.endos[args.index]
         _emit(phi.graph.to_dot(spec.alphabet) + "\n", args.out)
     else:
-        link = LG.build_link(spec, args.scheme)
+        link = LG.build_link(spec)
         _emit(link.to_dot(boundary_only=args.boundary_only) + "\n", args.out)
     return EXIT_OK
 
@@ -282,8 +277,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_group_args(p)
     p.add_argument("--full", action="store_true",
                    help="fold every endomorphism even at paper scale")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", default="ladder")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=_cmd_verify)
 
@@ -324,7 +317,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=("stallings", "link"), required=True)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--scheme", default="ladder")
     p.add_argument("--boundary-only", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_export_dot)

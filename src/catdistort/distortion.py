@@ -29,9 +29,6 @@ DEFAULT_BIT_CUTOFF = 1 << 20
 class LengthExpr:
     """Base class; nodes are immutable."""
 
-    def normalized(self, bit_cutoff: int = DEFAULT_BIT_CUTOFF) -> "LengthExpr":
-        return normalize(self, bit_cutoff)
-
     def __le__(self, other):
         return expr_cmp(self, other) <= 0
 
@@ -211,123 +208,68 @@ def _floor_log(base: int, value: int) -> int:
     return t
 
 
-def _tower_bits_floor(x: LengthExpr) -> float:
-    """Lower bound on the bit length of an unmaterialized tower's value.
-    Exponents that are themselves symbolic dwarf everything physical."""
-    if isinstance(x, Tower):
-        e = x.exponent
-        if isinstance(e, Exact):
-            if e.value.bit_length() > 64:
-                # bits >= exponent value >= 2^64: beyond anything that
-                # can be materialized, so "infinite" is a sound bound here
-                return float("inf")
-            return x.multiplier * e.value * math.log2(x.base)
-        return float("inf")
-    if isinstance(x, Mul):
-        return _tower_bits_floor(x.expr)
-    if isinstance(x, Sum):
-        return max((_tower_bits_floor(t) for t in x.terms), default=0.0)
-    if isinstance(x, Exact):
-        return float(max(x.value, 1).bit_length() - 1)
-    raise InvalidInputError(f"not a length expression: {x!r}")
-
-
 def _cmp_int(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
-def _cmp_exact_vs_tower(c1: int, v1: int, c2: int, t2: Tower) -> int:
-    """Sign of c1*v1 - c2*value(t2) for an unmaterialized tower t2."""
-    lhs_bits = (c1 * v1).bit_length() if v1 else 0
-    rhs_floor = _tower_bits_floor(t2)  # c2 >= 1 only helps the tower side
-    if rhs_floor > lhs_bits + 2:
-        return -1
-    # borderline: the tower exponent must be exact (else rhs is inf);
-    # materialize with a raised cutoff and compare exactly
-    e = t2.exponent
-    if not isinstance(e, Exact):
-        raise InvalidInputError("tower exponent is not exact at a borderline comparison")
-    rhs = c2 * t2.base ** (t2.multiplier * e.value)
-    return _cmp_int(c1 * v1, rhs)
-
-
-def _cmp_affine(m1: int, e1: LengthExpr, k1: int,
-                m2: int, e2: LengthExpr, k2: int) -> int:
-    """Sign of (m1*val(e1) + k1) - (m2*val(e2) + k2)."""
-    # flatten sums and integer multiples into the affine frame
-    if isinstance(e1, Sum):
-        if len(e1.terms) != 1:
-            raise InvalidInputError("undecidable multi-term sum comparison")
-        return _cmp_affine(m1, e1.terms[0], k1 + m1 * e1.const, m2, e2, k2)
-    if isinstance(e2, Sum):
-        return -_cmp_affine(m2, e2, k2, m1, e1, k1)
+def _cmp(m1: int, e1: LengthExpr, k1: int,
+         m2: int, e2: LengthExpr, k2: int) -> int:
+    """Sign of (m1*val(e1) + k1) - (m2*val(e2) + k2) for normalized e1,
+    e2, m >= 1 and k >= 0; a pair comparison is the case k = 0."""
+    # flatten integer multiples and one-term sums into the affine frame
     if isinstance(e1, Mul):
-        return _cmp_affine(m1 * e1.coeff, e1.expr, k1, m2, e2, k2)
+        return _cmp(m1 * e1.coeff, e1.expr, k1, m2, e2, k2)
     if isinstance(e2, Mul):
-        return -_cmp_affine(m2 * e2.coeff, e2.expr, k2, m1, e1, k1)
+        return -_cmp(m2 * e2.coeff, e2.expr, k2, m1, e1, k1)
+    if isinstance(e1, Sum) and len(e1.terms) == 1:
+        return _cmp(m1, e1.terms[0], k1 + m1 * e1.const, m2, e2, k2)
+    if isinstance(e2, Sum) and len(e2.terms) == 1:
+        return -_cmp(m2, e2.terms[0], k2 + m2 * e2.const, m1, e1, k1)
     if isinstance(e1, Exact) and isinstance(e2, Exact):
         return _cmp_int(m1 * e1.value + k1, m2 * e2.value + k2)
     if isinstance(e1, Exact) and isinstance(e2, Tower):
-        # the tower side exceeds anything materialized unless borderline
-        c = _cmp_exact_vs_tower(m1, e1.value, m2, e2)
-        if c != 0:
-            return c
-        return _cmp_int(k1, k2)
+        # an unmaterialized tower exceeds the exact side unless its bit
+        # length is borderline; a symbolic or 2^64-sized exponent never is
+        lhs = m1 * e1.value + k1
+        x = e2.exponent
+        if not isinstance(x, Exact) or x.value.bit_length() > 64 or (
+                e2.multiplier * x.value * math.log2(e2.base)
+                > lhs.bit_length() + 2):
+            return -1
+        return _cmp_int(lhs, m2 * e2.base ** (e2.multiplier * x.value) + k2)
     if isinstance(e1, Tower) and isinstance(e2, Exact):
-        return -_cmp_affine(m2, e2, k2, m1, e1, k1)
+        return -_cmp(m2, e2, k2, m1, e1, k1)
     if isinstance(e1, Tower) and isinstance(e2, Tower):
-        c = _cmp_pair(m1, e1, m2, e2)
-        if c != 0:
-            return c
-        return _cmp_int(k1, k2)
-    raise InvalidInputError(
-        f"undecidable affine comparison between {e1!r} and {e2!r}"
-    )
-
-
-def _cmp_pair(c1: int, x1: LengthExpr, c2: int, x2: LengthExpr) -> int:
-    """Sign of c1*val(x1) - c2*val(x2); x1, x2 normalized, c >= 1."""
-    if isinstance(x1, Mul):
-        return _cmp_pair(c1 * x1.coeff, x1.expr, c2, x2)
-    if isinstance(x2, Mul):
-        return -_cmp_pair(c2 * x2.coeff, x2.expr, c1, x1)
-    if isinstance(x1, Exact) and isinstance(x2, Exact):
-        return _cmp_int(c1 * x1.value, c2 * x2.value)
-    if isinstance(x1, Exact) and isinstance(x2, Tower):
-        return _cmp_exact_vs_tower(c1, x1.value, c2, x2)
-    if isinstance(x1, Tower) and isinstance(x2, Exact):
-        return -_cmp_exact_vs_tower(c2, x2.value, c1, x1)
-    if isinstance(x1, Tower) and isinstance(x2, Tower):
-        if x1.base != x2.base:
+        if e1.base != e2.base:
             raise InvalidInputError(
                 "comparison across different tower bases is not supported"
             )
-        L = x1.base
-        k1 = _floor_log(L, c1)
-        k2 = _floor_log(L, c2)
-        # c < L^(k+1), so a strict exponent gap of one power of L
-        # dominates the coefficients entirely
-        d = _cmp_affine(x1.multiplier, x1.exponent, k1,
-                        x2.multiplier, x2.exponent, k2)
-        if d > 0:
-            return 1
-        if d < 0:
-            return -1
-        # exponents equal as values: compare c1/L^k1 against c2/L^k2
-        return _cmp_int(c1 * L ** k2, c2 * L ** k1)
-    if isinstance(x1, Sum):
-        # terms are nonnegative: one term reaching x2 settles the order
-        for t in x1.terms:
-            c = _cmp_pair(c1, t, c2, x2)
-            if c > 0:
+        L = e1.base
+        f1 = _floor_log(L, m1)
+        f2 = _floor_log(L, m2)
+        # m < L^(f+1), so a strict exponent gap of one power of L
+        # dominates the multiples entirely; equal exponents compare
+        # m1/L^f1 against m2/L^f2, and equal towers compare k
+        d = _cmp(e1.multiplier, e1.exponent, f1, e2.multiplier, e2.exponent, f2)
+        if d == 0:
+            d = _cmp_int(m1 * L ** f2, m2 * L ** f1)
+        if d == 0:
+            return _cmp_int(k1, k2)
+        # unequal tower sides differ by at least the smaller tower, above
+        # 2^DEFAULT_BIT_CUTOFF (unmaterialized), so a smaller k cannot count
+        if max(k1, k2).bit_length() >= DEFAULT_BIT_CUTOFF:
+            raise InvalidInputError("undecidable comparison: constant as large as a tower")
+        return d
+    if isinstance(e1, Sum):
+        # terms are positive: one term reaching the other side settles it
+        for t in e1.terms:
+            if _cmp(m1, t, k1 + m1 * e1.const, m2, e2, k2) >= 0:
                 return 1
-            if c == 0:
-                return 1 if (x1.const > 0 or len(x1.terms) > 1) else 0
         raise InvalidInputError("undecidable sum comparison")
-    if isinstance(x2, Sum):
-        return -_cmp_pair(c2, x2, c1, x1)
+    if isinstance(e2, Sum):
+        return -_cmp(m2, e2, k2, m1, e1, k1)
     raise InvalidInputError(
-        f"undecidable comparison between {x1!r} and {x2!r}"
+        f"undecidable comparison between {e1!r} and {e2!r}"
     )
 
 
@@ -335,7 +277,7 @@ def expr_cmp(a: LengthExpr, b: LengthExpr) -> int:
     """Exact three-way comparison of normalized values.  Decides every
     comparison the witness families produce (exact integers and towers
     over one base); raises on genuinely unsupported shapes."""
-    return _cmp_pair(1, normalize(a), 1, normalize(b))
+    return _cmp(1, normalize(a), 0, 1, normalize(b), 0)
 
 
 def expr_to_dict(e: LengthExpr) -> dict:
@@ -350,21 +292,6 @@ def expr_to_dict(e: LengthExpr) -> dict:
         return {"kind": "sum", "const": e.const,
                 "terms": [expr_to_dict(t) for t in e.terms]}
     raise InvalidInputError(f"not a length expression: {e!r}")
-
-
-def expr_from_dict(d: dict) -> LengthExpr:
-    kind = d.get("kind")
-    if kind == "exact":
-        return Exact(int(d["value"]))
-    if kind == "tower":
-        return Tower(int(d["base"]), int(d["multiplier"]),
-                     expr_from_dict(d["exponent"]))
-    if kind == "mul":
-        return Mul(int(d["coeff"]), expr_from_dict(d["expr"]))
-    if kind == "sum":
-        return Sum(tuple(expr_from_dict(t) for t in d["terms"]),
-                   int(d["const"]))
-    raise InvalidInputError(f"bad length expression document: {d!r}")
 
 
 def iterated_exp(L: int, depth: int, x: int) -> LengthExpr:
@@ -442,11 +369,6 @@ def witness_block(spec: GroupSpec, n: int) -> Witness:
                    normalize(Tower(L, 1, Exact(n))) if n else Exact(1))
 
 
-def _chain_witness_alphabet(l: int) -> Alphabet:
-    return Alphabet([Gen("t", 1)] + [Gen("a", 1, level=k)
-                                     for k in range(1, l + 1)])
-
-
 def witness_chain(l: int, L: int, n: int,
                   spec: GroupSpec | None = None) -> Witness:
     """The nested commutator-style family: w_1 = t^n a^(1) t^-n and
@@ -466,7 +388,8 @@ def witness_chain(l: int, L: int, n: int,
         t = spec.levels[0].stable_ids[0]
         a_first = [lv.domain_ids[0] for lv in spec.levels]
     else:
-        alphabet = _chain_witness_alphabet(l)
+        alphabet = Alphabet([Gen("t", 1)] + [Gen("a", 1, level=k)
+                                             for k in range(1, l + 1)])
         t = 1
         a_first = list(range(2, l + 2))
     word = (t,) * n + (a_first[0],) + (-t,) * n
@@ -480,10 +403,6 @@ def witness_chain(l: int, L: int, n: int,
     return Witness("chain", word, alphabet, len(word), bound,
                    normalize(lengths[-1]),
                    stages=tuple(stages))
-
-
-def _tower_witness_alphabet() -> Alphabet:
-    return Alphabet([Gen("a", 1), Gen("t", 1), Gen("s", 1)])
 
 
 def tower_geodesic_bounds(k_max: int) -> list[int]:
@@ -523,7 +442,7 @@ def witness_tower(k: int, L: int = 14,
         t = spec.levels[1].stable_ids[0]
         s = spec.levels[0].stable_ids[0]
     else:
-        alphabet = _tower_witness_alphabet()
+        alphabet = Alphabet([Gen("a", 1), Gen("t", 1), Gen("s", 1)])
         a, t, s = 1, 2, 3
     word = (t, a, -t)
     stages = [word]

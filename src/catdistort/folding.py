@@ -22,7 +22,7 @@ of free groups*, 2002), so a preimage is one trace of the folded graph.
 
 from __future__ import annotations
 
-import random
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +35,7 @@ from .errors import (
     NotInImageError,
     PairRepetitionError,
 )
-from .words import PositiveWord, Word, check_pair_uniqueness, free_reduce, invert
+from .words import Word, check_pair_uniqueness, free_reduce, invert
 
 
 class StallingsGraph:
@@ -236,7 +236,7 @@ def rose_from_words(words: Sequence[Sequence[int]]) -> StallingsGraph:
     return StallingsGraph(n, 0, edges, folded=False)
 
 
-def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
+def fold(graph: StallingsGraph) -> StallingsGraph:
     """Fold to the immersion: identify pairs of equally-labeled edges
     sharing an endpoint until none remain.  Operates on a private copy;
     provenance sets merge on identification and the base vertex is tracked.
@@ -244,11 +244,10 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
     before two vertex classes unite, the edges at one of them are
     re-gauged so that both ends agree, and the base is never re-gauged.
 
-    The default processing order is a canonical smallest-slot-first queue;
-    ``seed`` randomizes it (used by confluence tests only).
+    Slots are processed smallest first, (vertex, direction, label), and
+    at each the two smallest live edge ids merge; the folded graph does
+    not depend on this order, only its numbering does.
     """
-    import heapq
-
     nv = graph.n_vertices
     parent = list(range(nv))
 
@@ -268,28 +267,13 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
         adj[u].setdefault((0, lab), set()).add(eid)
         adj[v].setdefault((1, lab), set()).add(eid)
 
-    rng = random.Random(seed) if seed is not None else None
-    # worklist of (vertex, direction, label) slots that may hold a fold pair
+    # heap of (vertex, direction, label) slots that may hold a fold pair
     work: list[tuple[int, int, int]] = []
     for v in range(nv):
         for (d, lab), s in adj[v].items():
             if len(s) >= 2:
                 work.append((v, d, lab))
-    if rng is None:
-        heapq.heapify(work)
-
-    def pop_slot() -> tuple[int, int, int]:
-        if rng is None:
-            return heapq.heappop(work)
-        i = rng.randrange(len(work))
-        work[i], work[-1] = work[-1], work[i]
-        return work.pop()
-
-    def push_slot(slot: tuple[int, int, int]) -> None:
-        if rng is None:
-            heapq.heappush(work, slot)
-        else:
-            work.append(slot)
+    heapq.heapify(work)
 
     def regauge(side: int, d: int, u2: int, e1: int, e2: int) -> None:
         # e1 and e2 share their d-end; re-gauge the class `side` of their
@@ -310,7 +294,7 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
                 rec[5] = free_reduce(rec[5] + g_inv)
 
     while work:
-        v0, d, lab = pop_slot()
+        v0, d, lab = heapq.heappop(work)
         v = find(v0)
         table = adj[v]
         key = (d, lab)
@@ -348,10 +332,10 @@ def fold(graph: StallingsGraph, seed: int | None = None) -> StallingsGraph:
                 else:
                     ta[k2] = s2
                 if len(ta[k2]) >= 2:
-                    push_slot((a,) + k2)
+                    heapq.heappush(work, (a,) + k2)
             adj[b] = None
         if len(table[key]) >= 2:
-            push_slot((find(v), d, lab))
+            heapq.heappush(work, (find(v), d, lab))
 
     # compact the quotient
     alive_edges = [e for e in edges if e[4]]

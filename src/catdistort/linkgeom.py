@@ -19,7 +19,7 @@ report that rather than assume it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .words import Alphabet
 
 RIGHT_ANGLE = 0.5  # corner weight in units of pi
 
-# -- scheme: symbolic pentagon layout ---------------------------------------
+# -- the ladder: symbolic pentagon layout ------------------------------------
 
 # A direction template is one of
 #   ("g", kind, tag)   boundary direction; kind in {"stable","base",("img",j)}
@@ -62,16 +62,14 @@ def _ladder_faces(L: int):
         faces = [[("ch", 0, True), ("bnd", 0), ("bnd", 1), ("bnd", 2),
                   ("bnd", 3)]]
         n_fan = (L - 2) // 3  # fan pentagons over L-1 ≡ 1 (mod 3) letters
-        def iyw(j):
-            return N - j
-        faces.append([("bnd", iyw(4)), ("bnd", iyw(3)), ("bnd", iyw(2)),
-                      ("bnd", iyw(1)),
+        faces.append([("bnd", iy(4)), ("bnd", iy(3)), ("bnd", iy(2)),
+                      ("bnd", iy(1)),
                       ("ch", 1, False) if n_fan > 1 else ("ch", 0, False)])
         for i in range(1, n_fan):
             hi = 4 + 3 * i
             last = ("ch", i + 1, False) if i + 1 < n_fan else ("ch", 0, False)
-            faces.append([("bnd", iyw(hi)), ("bnd", iyw(hi - 1)),
-                          ("bnd", iyw(hi - 2)), ("ch", i, True), last])
+            faces.append([("bnd", iy(hi)), ("bnd", iy(hi - 1)),
+                          ("bnd", iy(hi - 2)), ("ch", i, True), last])
         return faces, n_fan
     # L >= 14: split the bottom as alpha + 2 + 2 + 2 + beta with
     # alpha, beta ≡ 1 (mod 3), alpha, beta >= 4; this is the smallest L
@@ -153,9 +151,6 @@ def ladder_corner_templates(L: int):
     return corners, len(faces), n_chords
 
 
-_SCHEMES = {"ladder": ladder_corner_templates}
-
-
 # -- per-cell decomposition ---------------------------------------------------
 
 
@@ -169,7 +164,6 @@ class CellDecomposition:
     the cell."""
 
     relator: Relator
-    scheme: str
     n_pentagons: int
     n_chords: int
     corners: tuple[tuple[tuple, tuple], ...]
@@ -177,14 +171,6 @@ class CellDecomposition:
     def stable_dirs(self) -> tuple:
         s = self.relator.stable
         return (("d", s, 0), ("d", s, 1))
-
-    def boundary_dirs(self) -> set:
-        out = set()
-        for a, b in self.corners:
-            for d in (a, b):
-                if d[0] == "d":
-                    out.add(d)
-        return out
 
 
 def _instantiate(template, relator: Relator):
@@ -198,18 +184,15 @@ def _instantiate(template, relator: Relator):
     return ("d", relator.image[kind[1] - 1], tag)
 
 
-def decompose_cell(relator: Relator, scheme: str = "ladder") -> CellDecomposition:
-    """Decompose one conjugation cell.  Raises when the scheme cannot
-    handle the boundary length (ladder: L ≡ 2 mod 3)."""
-    if scheme not in _SCHEMES:
-        raise InvalidParameterError(f"unknown decomposition scheme {scheme!r}")
-    L = len(relator.image)
-    templates, n_pent, n_chords = _SCHEMES[scheme](L)
+def decompose_cell(relator: Relator) -> CellDecomposition:
+    """Decompose one conjugation cell by the ladder.  Raises unless the
+    image length L satisfies L ≡ 2 (mod 3)."""
+    templates, n_pent, n_chords = ladder_corner_templates(len(relator.image))
     corners = tuple(
         (_instantiate(a, relator), _instantiate(b, relator))
         for a, b in templates
     )
-    return CellDecomposition(relator, scheme, n_pent, n_chords, corners)
+    return CellDecomposition(relator, n_pent, n_chords, corners)
 
 
 @dataclass(frozen=True)
@@ -375,12 +358,10 @@ def _cells_of_level(level: LevelSpec):
             np.vstack(imgs))
 
 
-def build_link(spec: GroupSpec, scheme: str = "ladder") -> LinkGraph:
+def build_link(spec: GroupSpec) -> LinkGraph:
     """Union of all cells' link contributions on the shared direction
     vertex set.  Marked subsets: one per level ("stable-0", "stable-1",
     ...) collecting that level's stable-letter directions."""
-    if scheme not in _SCHEMES:
-        raise InvalidParameterError(f"unknown decomposition scheme {scheme!r}")
     G = len(spec.alphabet)
     chord_base = 2 * G
     blocks = []
@@ -388,7 +369,7 @@ def build_link(spec: GroupSpec, scheme: str = "ladder") -> LinkGraph:
     nc_ref: int | None = None
     for lv in spec.levels:
         L = lv.image_length
-        templates, _, nc = _SCHEMES[scheme](L)
+        templates, _, nc = ladder_corner_templates(L)
         if nc_ref is None:
             nc_ref = nc
         elif nc != nc_ref:
@@ -425,8 +406,7 @@ def build_link(spec: GroupSpec, scheme: str = "ladder") -> LinkGraph:
                      n_chords_per_cell=nc_ref or 0)
 
 
-def build_level_link(spec: GroupSpec, level_index: int,
-                     scheme: str = "ladder") -> LinkGraph:
+def build_level_link(spec: GroupSpec, level_index: int) -> LinkGraph:
     """Link contribution of a single level's cells (used by the chain
     gluing check, where each attachment is tested in the new block's
     link alone)."""
@@ -435,7 +415,7 @@ def build_level_link(spec: GroupSpec, level_index: int,
         [spec.levels[level_index]], spec.base_ids, spec.base_free_ids,
         spec.convex_ids, spec.target_ids,
     )
-    return build_link(sub, scheme)
+    return build_link(sub)
 
 
 # -- checks -------------------------------------------------------------------
@@ -714,7 +694,7 @@ class GluingReport:
     union_girth: GirthReport
 
 
-def check_chain_gluing(chain: GroupSpec, scheme: str = "ladder") -> GluingReport:
+def check_chain_gluing(chain: GroupSpec) -> GluingReport:
     if chain.structure != "chain":
         raise InvalidInputError("gluing check applies to chain presentations")
     per_level = []
@@ -722,10 +702,10 @@ def check_chain_gluing(chain: GroupSpec, scheme: str = "ladder") -> GluingReport
     # level 0 is the base case (one block, nothing glued); gluing step k
     # attaches the level-k block along its stable letters.
     for k in range(1, len(chain.levels)):
-        lk = build_level_link(chain, k, scheme)
+        lk = build_level_link(chain, k)
         rep = check_separation(lk, lk.marked["stable-0"])
         per_level.append((k, rep))
         ok = ok and rep.ok
-    union = check_large_link(build_link(chain, scheme))
+    union = check_large_link(build_link(chain))
     ok = ok and union.ok
     return GluingReport(ok, tuple(per_level), union)

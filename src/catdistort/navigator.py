@@ -40,7 +40,7 @@ class TraceStep:
     letter's endomorphism (forward: t u t^-1 -> phi(u); backward:
     t^-1 u t -> phi^-1(u))."""
 
-    position: int  # letters before the opener, at its level's scan
+    position: int  # letters before the opener in the word at this pinch
     stable: int
     direction: str  # "forward" | "backward"
     pre_length: int
@@ -138,9 +138,11 @@ class WordProblem:
         return endo.try_preimage(c), "backward"
 
     def _reduce(self, letters: Sequence[int], k: int,
-                trace: ReductionTrace | None) -> tuple[list[int], bool]:
+                trace: ReductionTrace | None,
+                offset: int = 0) -> tuple[list[int], bool]:
         """Reduce from level k down; returns the reduced word and whether
         a stable letter survived (else every letter is a base letter).
+        ``offset`` letters precede ``letters`` in the word being traced.
 
         One flat stack holds the letters; ``marks`` holds the positions
         of the level's stable letters that did not pinch, so the segment
@@ -160,7 +162,7 @@ class WordProblem:
                     repl, direction = self._pinch(lvl, g, 1 if x > 0 else -1, u)
                     if repl is not None:
                         if trace is not None:
-                            trace.record(position=oi, stable=g,
+                            trace.record(position=offset + oi, stable=g,
                                          direction=direction,
                                          pre_length=len(u) + 2,
                                          post_length=len(repl), level=k)
@@ -184,7 +186,7 @@ class WordProblem:
         for end in marks + [len(stack)]:
             seg = stack[start:end]
             if any(abs(y) not in self.base_set for y in seg):
-                seg, left = self._reduce(seg, k + 1, trace)
+                seg, left = self._reduce(seg, k + 1, trace, offset + len(out))
                 survived = survived or left
             out.extend(seg)
             out.extend(stack[end:end + 1])  # the stable letter, if any

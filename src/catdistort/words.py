@@ -81,7 +81,6 @@ class Alphabet:
         self.gens: tuple[Gen, ...] = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise InvalidParameterError("alphabet has repeated generator names")
-        self._ids = {g: i + 1 for i, g in enumerate(self.gens)}
         self._by_token = {g.token: i + 1 for i, g in enumerate(self.gens)}
 
     def __len__(self):
@@ -96,22 +95,8 @@ class Alphabet:
     def __iter__(self) -> Iterator[Gen]:
         return iter(self.gens)
 
-    def id_of(self, gen: Gen) -> int:
-        return self._ids[gen]
-
     def gen(self, gen_id: int) -> Gen:
         return self.gens[gen_id - 1]
-
-    def ids_where(self, role: str | None = None, level: int | None = None) -> tuple[int, ...]:
-        """Ids of generators matching the given role/level filters, in order."""
-        out = []
-        for i, g in enumerate(self.gens):
-            if role is not None and g.role != role:
-                continue
-            if level is not None and g.level != level:
-                continue
-            out.append(i + 1)
-        return tuple(out)
 
     # -- serialization ----------------------------------------------------
 

@@ -107,6 +107,14 @@ class TestReduce:
         assert doc["reduced"] == "a1 a1"
         assert doc["pinches"][0]["direction"] == "forward"
 
+    def test_position_counts_from_the_start_of_the_word(self):
+        # the level-1 opener a1^(1) follows t1, which survives level 0
+        code, out = run(["reduce", "--chain", "2", "5", "--word",
+                         "t1 a1^(1) a2^(2) a1^(1)^-1"])
+        assert code == 0
+        [pinch] = json.loads(out)["pinches"]
+        assert (pinch["level"], pinch["position"]) == (1, 1)
+
     def test_bad_token(self):
         code, _ = run(["reduce", "--block", "1", "2", "2", "--word", "zz"])
         assert code == 1  # invalid input inside a valid invocation
@@ -236,12 +244,29 @@ class TestExportDot:
         assert out.startswith("graph link")
 
 
+class TestRemovedFlags:
+    """``--scheme`` admitted one value and ``--seed`` was only echoed
+    into the report; both are usage errors now."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--block", "1", "2", "2", "--scheme", "ladder"],
+        ["verify", "--block", "1", "2", "2", "--seed", "7"],
+        ["export-dot", "--block", "1", "2", "2", "--what", "link",
+         "--scheme", "ladder"],
+    ], ids=["verify-scheme", "verify-seed", "export-dot-scheme"])
+    def test_exits_usage(self, capsys, args):
+        code, _ = run(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_same_invocation_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for p in (a, b):
             code, _ = run(["verify", "--block", "1", "14", "14",
-                           "--seed", "7", "--out", str(p)])
+                           "--out", str(p)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -260,7 +285,9 @@ class TestGoldenBytes:
     """Output bytes recorded before certification moved to one-round
     folding on arrays, the link checks to edge scans and the reducer to
     one flat stack over global letter ids; none of these may change a
-    byte."""
+    byte.  ``reduce_chain_2_5.json`` was re-recorded once, when pinch
+    positions below level 0 started counting from the start of the
+    word."""
 
     @pytest.mark.parametrize("args,name", [
         (["export-dot", "--block", "1", "14", "14", "--what", "stallings",
@@ -276,7 +303,8 @@ class TestGoldenBytes:
         (["reduce", "--double", "9", "27", "3", "--word",
           "a2 s a1 s^-1 t1 a3 t1^-1 s^-1 t1 t1 t1 s a4"],
          "reduce_double_9_27_3.json"),
-        # forward pinches at both levels and a backward one at level 1
+        # forward pinches at both levels and a backward one at level 1;
+        # positions count the letters before the opener in the whole word
         (["reduce", "--chain", "2", "5", "--word",
           "a5^(2) t1 a1^(1) t1^-1 a1^(2) a3^(1)^-1 t1 a2^(1)^-1 a6^(2) "
           "a4^(2) a7^(2) a4^(2) a8^(2) a2^(1)"], "reduce_chain_2_5.json"),

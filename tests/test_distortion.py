@@ -3,8 +3,10 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from catdistort.distortion import (
+    DEFAULT_BIT_CUTOFF,
     DistortionCurve,
     Exact,
     Mul,
@@ -12,7 +14,6 @@ from catdistort.distortion import (
     Tower,
     expand_length,
     expr_cmp,
-    expr_from_dict,
     expr_to_dict,
     iterated_exp,
     lower_bound_curve,
@@ -112,15 +113,72 @@ class TestCalculus:
         with pytest.raises(InvalidInputError):
             expr_cmp(big2, big3)
 
-    def test_io_round_trip(self):
+    def test_to_dict_literal(self):
         e = Tower(14, 14, Tower(14, 14, Exact(196)))
-        assert expr_cmp(expr_from_dict(expr_to_dict(e)), e) == 0
+        assert expr_to_dict(e) == {
+            "kind": "tower", "base": 14, "multiplier": 14,
+            "exponent": {"kind": "tower", "base": 14, "multiplier": 14,
+                         "exponent": {"kind": "exact", "value": "196"}}}
+        assert expr_to_dict(Sum((Mul(3, e),), 2)) == {
+            "kind": "sum", "const": 2,
+            "terms": [{"kind": "mul", "coeff": 3, "expr": expr_to_dict(e)}]}
+
+    def test_one_term_sum_folds_its_constant(self):
+        # 2^1048584 + 1 < 2^1048609: the constant joins the affine frame
+        # instead of leaving the sum undecided
+        lo = Sum((Tower(2, 1, Exact(1048584)),), 1)
+        hi = Tower(2, 1, Exact(1048609))
+        assert expr_cmp(lo, hi) == -1 and expr_cmp(hi, lo) == 1
+
+    def test_constant_as_large_as_a_tower_is_undecided(self):
+        # 2^n + 2^n > 3 * 2^n, yet the towers alone say 2^n < 3 * 2^n:
+        # a constant that large may not be dropped
+        t = Tower(2, 1, Exact(DEFAULT_BIT_CUTOFF + 1))
+        with pytest.raises(InvalidInputError):
+            expr_cmp(Sum((t,), 1 << (DEFAULT_BIT_CUTOFF + 1)), Mul(3, t))
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             Exact(-1)
         with pytest.raises(InvalidParameterError):
             Tower(1, 1, Exact(1))
+
+
+def _value(e):
+    """The integer value of an expression over base-2 towers."""
+    if isinstance(e, Exact):
+        return e.value
+    if isinstance(e, Tower):
+        assert e.base == 2
+        return 1 << (e.multiplier * _value(e.exponent))
+    if isinstance(e, Mul):
+        return e.coeff * _value(e.expr)
+    return sum(_value(t) for t in e.terms) + e.const
+
+
+# base-2 towers of 2^(cutoff + 1) to 2^(cutoff + 160): unmaterialized,
+# yet small enough to compute as integers
+_towers = st.builds(lambda k, d: Tower(2, k, Exact(DEFAULT_BIT_CUTOFF // k + d)),
+                    st.sampled_from([1, 2, 4]), st.integers(1, 40))
+_exprs = st.recursive(
+    st.one_of(_towers, st.integers(0, 1000).map(Exact)),
+    lambda inner: st.one_of(
+        st.builds(Mul, st.integers(0, 50), inner),
+        st.builds(lambda ts, c: Sum(tuple(ts), c),
+                  st.lists(inner, min_size=1, max_size=3), st.integers(0, 50))),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, _exprs)
+@example(Sum((Tower(2, 1, Exact(1048584)),), 1), Tower(2, 1, Exact(1048609)))
+def test_cmp_is_the_true_sign_or_undecided(a, b):
+    try:
+        got = expr_cmp(a, b)
+    except InvalidInputError:
+        return
+    va, vb = _value(a), _value(b)
+    assert got == (va > vb) - (va < vb)
 
 
 class TestExpandLength:

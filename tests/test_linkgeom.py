@@ -89,10 +89,6 @@ class TestDecomposeCell:
         assert not rep.ok
         assert rep.min_stable_to_base == 1
 
-    def test_unknown_scheme(self):
-        with pytest.raises(InvalidParameterError):
-            decompose_cell(one_cell_relator(14), scheme="fan")
-
     def test_all_cells_of_block(self):
         spec = build_block(BlockParams(2, 28, 14))
         for r in spec.relators():
