@@ -13,12 +13,13 @@ otherwise (sound for the monotone expressions arising here).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidInputError, InvalidParameterError
 from .presentations import GroupSpec
-from .words import Alphabet, Gen, Word, invert
+from .words import Alphabet, Gen, Word, free_reduce, invert
 
 DEFAULT_BIT_CUTOFF = 1 << 20
 
@@ -27,7 +28,24 @@ DEFAULT_BIT_CUTOFF = 1 << 20
 
 
 class LengthExpr:
-    """Base class; nodes are immutable."""
+    """Base class; nodes are immutable and compare by value, with an int
+    standing for its :class:`Exact`.  A comparison :func:`expr_cmp`
+    cannot decide raises, in ``==`` and in a set or dict alike."""
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return other >= 0 and self == Exact(other)
+        if isinstance(other, LengthExpr):
+            return expr_cmp(self, other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        # normalize leaves a value unmaterialized only above 2^cutoff, so
+        # values up to there hash as their int and the rest share one hash
+        v = normalize(self)
+        if isinstance(v, Exact) and v.value.bit_length() <= DEFAULT_BIT_CUTOFF:
+            return hash(v.value)
+        return hash(DEFAULT_BIT_CUTOFF)
 
     def __le__(self, other):
         return expr_cmp(self, other) <= 0
@@ -58,7 +76,7 @@ def _int_str(v: int, width: int = 0) -> str:
     return _int_str(hi, max(width - half, 0)) + _int_str(lo, half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exact(LengthExpr):
     value: int
 
@@ -69,18 +87,8 @@ class Exact(LengthExpr):
     def __str__(self):
         return _int_str(self.value)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other
-        if isinstance(other, LengthExpr):
-            return expr_cmp(self, other) == 0
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(("Exact", self.value))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tower(LengthExpr):
     """base ** (multiplier * exponent)."""
 
@@ -97,16 +105,8 @@ class Tower(LengthExpr):
             return f"{self.base}^({self.exponent})"
         return f"{self.base}^({self.multiplier}*{self.exponent})"
 
-    def __eq__(self, other):
-        if isinstance(other, LengthExpr):
-            return expr_cmp(self, other) == 0
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(("Tower", self.base, self.multiplier))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(LengthExpr):
     coeff: int
     expr: LengthExpr
@@ -118,16 +118,8 @@ class Mul(LengthExpr):
     def __str__(self):
         return f"{self.coeff}*({self.expr})"
 
-    def __eq__(self, other):
-        if isinstance(other, LengthExpr):
-            return expr_cmp(self, other) == 0
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(("Mul", self.coeff))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(LengthExpr):
     terms: tuple[LengthExpr, ...]
     const: int = 0
@@ -141,14 +133,6 @@ class Sum(LengthExpr):
         if self.const or not parts:
             parts.append(str(self.const))
         return "(" + " + ".join(parts) + ")"
-
-    def __eq__(self, other):
-        if isinstance(other, LengthExpr):
-            return expr_cmp(self, other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Sum", len(self.terms), self.const))
 
 
 def normalize(expr: LengthExpr, bit_cutoff: int = DEFAULT_BIT_CUTOFF) -> LengthExpr:
@@ -553,8 +537,6 @@ def _sample_f_word(spec: GroupSpec, k: int, rng) -> Word:
         budget -= len(chunk)
         if rng.random() < 0.25:
             break
-    from .words import free_reduce
-
     return free_reduce(out)
 
 
@@ -565,8 +547,6 @@ def upper_bound_audit(spec: GroupSpec, k_max: int, samples: int,
     exactly as |to_base|^2 <= L^k * k^2) and pinch count <= k/2."""
     if spec.structure != "block":
         raise InvalidInputError("the cancellation audit applies to blocks")
-    import random
-
     L = spec.params["L"]
     wp = spec.word_problem()
     rng = random.Random(seed)

@@ -39,45 +39,31 @@ from .words import Word, check_pair_uniqueness, free_reduce, invert
 
 
 class StallingsGraph:
-    """Based, directed, edge-labeled graph with per-edge provenance.
+    """Based, directed, edge-labeled graph that remembers the rose it
+    descends from.
 
-    Edges are stored as the arrays ``src``, ``dst`` and ``label``.
-    Provenance sets record which (petal, position) pairs of the original
-    rose an edge descends from; folds merge them.  The tuple view
-    :attr:`edges`, which carries them, is built on first access.
+    Edge i runs from ``src[i]`` to ``dst[i]`` and reads ``label[i]``.
+    Petal j of the rose has one rose edge per position of its word,
+    ``petal_start[j]`` to ``petal_start[j + 1] - 1``, and rose edge r
+    descends to edge ``owner[r]``: on the rose itself ``owner`` is the
+    identity, and folds move it.  The tuple view :attr:`edges`, which
+    gives every edge the (petal, position) pairs that descend to it, is
+    built on first access.
     """
 
-    def __init__(self, n_vertices: int, base: int,
-                 edges: Sequence[tuple[int, int, int, frozenset]],
-                 folded: bool = False):
-        edges = tuple(edges)
-        cols = np.array([e[:3] for e in edges], dtype=np.int64).reshape(-1, 3)
-        self._init(n_vertices, base, cols[:, 0], cols[:, 1], cols[:, 2], folded)
-        self._edges: tuple | None = edges
-
-    @classmethod
-    def from_arrays(cls, n_vertices: int, base: int, src: np.ndarray,
-                    dst: np.ndarray, label: np.ndarray, owner: np.ndarray,
-                    petal_length: int, folded: bool) -> "StallingsGraph":
-        """Graph whose provenance is given by ``owner``: rose edge i,
-        at (petal, position) = divmod(i, petal_length), descends to edge
-        ``owner[i]``."""
-        g = cls.__new__(cls)
-        g._init(n_vertices, base, src, dst, label, folded)
-        g._edges = None
-        g._owner = owner
-        g._petal_length = petal_length
-        return g
-
-    def _init(self, n_vertices, base, src, dst, label, folded):
+    def __init__(self, n_vertices: int, base: int, src: np.ndarray,
+                 dst: np.ndarray, label: np.ndarray, owner: np.ndarray,
+                 petal_start: np.ndarray, folded: bool = False):
         self.n_vertices = n_vertices
         self.base = base
         self.src, self.dst, self.label = src, dst, label
+        self.owner, self.petal_start = owner, petal_start
         self.folded = folded
-        self._owner: np.ndarray | None = None
+        self._edges: tuple | None = None
         self._words: list[Word] | None = None
         self._out: dict[tuple[int, int], tuple[int, int]] | None = None
         self._in: dict[tuple[int, int], tuple[int, int]] | None = None
+        self._paths: dict[int, Word] | None = None
 
     @property
     def n_edges(self) -> int:
@@ -86,9 +72,10 @@ class StallingsGraph:
     @property
     def edges(self) -> tuple[tuple[int, int, int, frozenset], ...]:
         if self._edges is None:
-            order = np.argsort(self._owner, kind="stable")
-            cuts = np.searchsorted(self._owner[order], np.arange(1, self.n_edges))
-            petal, pos = np.divmod(order, self._petal_length)
+            order = np.argsort(self.owner, kind="stable")
+            cuts = np.searchsorted(self.owner[order], np.arange(1, self.n_edges))
+            petal = np.searchsorted(self.petal_start, order, side="right") - 1
+            pos = order - self.petal_start[petal]
             provs = [frozenset(zip(p.tolist(), q.tolist()))
                      for p, q in zip(np.split(petal, cuts), np.split(pos, cuts))]
             self._edges = tuple(zip(self.src.tolist(), self.dst.tolist(),
@@ -101,19 +88,18 @@ class StallingsGraph:
         preimage under the map sending petal j to the positive word it
         spells.
 
-        :func:`fold` carries them through its folds.  Other graphs derive
-        them on first call: j + 1 goes to the edge that petal j's rose
-        edge at position 1 descends to on a one-round graph (it is petal
-        j's alone), and at position 0 on any other graph, as on a rose.
+        :func:`fold` carries them through its folds.  A rose, and a graph
+        from :func:`fold_one_round`, derive them on first call: j + 1
+        goes to the edge that petal j's rose edge at position
+        min(1, len_j - 1) descends to, which on both is petal j's alone,
+        and every other edge reads nothing.
         """
         if self._words is None:
-            if self._owner is not None:
-                words: list[Word] = [()] * self.n_edges
-                for j, e in enumerate(self._owner[1::self._petal_length].tolist()):
-                    words[e] = (j + 1,)
-            else:
-                words = [tuple([j + 1 for j, p in prov if p == 0])
-                         for *_, prov in self.edges]
+            starts = self.petal_start
+            at = starts[:-1] + np.minimum(1, np.diff(starts) - 1)
+            words: list[Word] = [()] * self.n_edges
+            for j, e in enumerate(self.owner[at].tolist()):
+                words[e] = (j + 1,)
             self._words = words
         return self._words
 
@@ -131,19 +117,24 @@ class StallingsGraph:
             self._out, self._in = out, inc
         return self._out, self._in
 
+    def _walk(self, word: Sequence[int], v: int) -> tuple[int, int]:
+        """Read ``word`` from vertex v as far as it goes: the vertex
+        reached and the number of letters read."""
+        out, inc = self._tables()
+        for i, x in enumerate(word):
+            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
+            if hop is None:
+                return v, i
+            v = hop[0]
+        return v, len(word)
+
     def trace(self, word: Sequence[int], start: int | None = None) -> int | None:
         """Endpoint of the path spelling ``word`` from ``start``, or None
         if some letter cannot be read.  Requires a folded graph."""
         if not self.folded:
             raise InvalidInputError("trace requires a folded graph")
-        out, inc = self._tables()
-        v = self.base if start is None else start
-        for x in word:
-            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
-            if hop is None:
-                return None
-            v = hop[0]
-        return v
+        v, n = self._walk(word, self.base if start is None else start)
+        return v if n == len(word) else None
 
     def is_connected(self) -> bool:
         """Hook every edge's larger component label onto its smaller one
@@ -164,33 +155,37 @@ class StallingsGraph:
                     break
                 comp = nxt
 
-    def canonical_form(self) -> tuple:
-        """Canonical description of the based labeled graph.
+    def _tree(self) -> dict[int, Word]:
+        """Reduced word from the base to every vertex it reaches, along a
+        breadth-first tree in (label, direction) order, keyed in the
+        order the search meets the vertices.  Canonical for a folded
+        graph, which is a deterministic automaton."""
+        if self._paths is None:
+            out, inc = self._tables()
+            steps: dict[int, list[tuple[int, int, int]]] = {}
+            for (v, lab), (w, _) in out.items():
+                steps.setdefault(v, []).append((lab, 1, w))
+            for (v, lab), (w, _) in inc.items():
+                steps.setdefault(v, []).append((lab, -1, w))
+            paths = {self.base: ()}
+            queue = [self.base]
+            for v in queue:
+                for lab, d, w in sorted(steps.get(v, [])):
+                    if w not in paths:
+                        paths[w] = paths[v] + (d * lab,)
+                        queue.append(w)
+            self._paths = paths
+        return self._paths
 
-        Folded graphs are deterministic automata, so a BFS from the base
-        vertex in (label, direction) order renames vertices canonically;
-        two folded graphs are isomorphic as based labeled graphs iff their
+    def canonical_form(self) -> tuple:
+        """Canonical description of the based labeled graph: vertices
+        renamed in the order the breadth-first tree meets them.  Two
+        folded graphs are isomorphic as based labeled graphs iff their
         canonical forms are equal.
         """
         if not self.folded:
             raise InvalidInputError("canonical_form requires a folded graph")
-        out, inc = self._tables()
-        keys: dict[int, list[tuple[int, int]]] = {}
-        for (v, lab), (w, _) in out.items():
-            keys.setdefault(v, []).append((lab, 1))
-        for (v, lab), (w, _) in inc.items():
-            keys.setdefault(v, []).append((lab, -1))
-        order = {self.base: 0}
-        queue = [self.base]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for lab, d in sorted(keys.get(v, [])):
-                w = out[(v, lab)][0] if d == 1 else inc[(v, lab)][0]
-                if w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
+        order = {v: i for i, v in enumerate(self._tree())}
         canon_edges = sorted(
             (order[u], order[v], lab) for u, v, lab in
             zip(self.src.tolist(), self.dst.tolist(), self.label.tolist())
@@ -214,35 +209,34 @@ class StallingsGraph:
 
 def rose_from_words(words: Sequence[Sequence[int]]) -> StallingsGraph:
     """Wedge of subdivided circles at a base vertex, the j-th spelling
-    ``words[j]``.  Each edge's provenance is its (petal, position) pair."""
+    ``words[j]``.  Rose edge i is edge i."""
     if len(words) == 0:
         raise InvalidInputError("rose needs at least one word")
-    edges = []
-    n = 1  # vertex 0 is the base
-    for j, w in enumerate(words):
-        if len(w) == 0:
-            raise InvalidInputError(f"petal {j} is the empty word")
-        prev = 0
-        for pos, x in enumerate(w):
-            nxt = 0 if pos == len(w) - 1 else n
-            if pos != len(w) - 1:
-                n += 1
-            prov = frozenset([(j, pos)])
-            if x > 0:
-                edges.append((prev, nxt, x, prov))
-            else:
-                edges.append((nxt, prev, -x, prov))
-            prev = nxt
-    return StallingsGraph(n, 0, edges, folded=False)
+    lengths = [len(w) for w in words]
+    if 0 in lengths:
+        raise InvalidInputError(f"petal {lengths.index(0)} is the empty word")
+    petal_start = np.cumsum([0] + lengths)
+    letters = np.array([x for w in words for x in w], dtype=np.int64)
+    n = letters.size
+    # rose edge i, of petal j, enters vertex i + 1 - j, or the base when
+    # it is the petal's last; each edge leaves where its predecessor ends
+    after = np.arange(1, n + 1) - np.repeat(np.arange(len(words)), lengths)
+    after[petal_start[1:] - 1] = 0
+    before = np.roll(after, 1)
+    fwd = letters > 0
+    return StallingsGraph(n + 1 - len(words), 0, np.where(fwd, before, after),
+                          np.where(fwd, after, before), np.abs(letters),
+                          np.arange(n), petal_start)
 
 
 def fold(graph: StallingsGraph) -> StallingsGraph:
     """Fold to the immersion: identify pairs of equally-labeled edges
     sharing an endpoint until none remain.  Operates on a private copy;
-    provenance sets merge on identification and the base vertex is tracked.
-    Petal words (:meth:`StallingsGraph.petal_words`) are carried along:
-    before two vertex classes unite, the edges at one of them are
-    re-gauged so that both ends agree, and the base is never re-gauged.
+    the base vertex is tracked, and every rose edge of ``graph.owner``
+    moves with the edge it descends to.  Petal words
+    (:meth:`StallingsGraph.petal_words`) are carried along: before two
+    vertex classes unite, the edges at one of them are re-gauged so that
+    both ends agree, and the base is never re-gauged.
 
     Slots are processed smallest first, (vertex, direction, label), and
     at each the two smallest live edge ids merge; the folded graph does
@@ -257,13 +251,15 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
             x = parent[x]
         return x
 
-    # edge store: eid -> [src, dst, label, provenance, alive, petal word]
+    # edge store: eid -> [src, dst, label, petal word]; into[eid] is the
+    # edge eid merged into, eid itself while it is alive
     edges: list[list] = [
-        [u, v, lab, set(prov), True, word]
-        for (u, v, lab, prov), word in zip(graph.edges, graph.petal_words())
+        list(rec) for rec in zip(graph.src.tolist(), graph.dst.tolist(),
+                                 graph.label.tolist(), graph.petal_words())
     ]
+    into = list(range(len(edges)))
     adj: list[dict | None] = [dict() for _ in range(nv)]
-    for eid, (u, v, lab, *_) in enumerate(edges):
+    for eid, (u, v, lab, _) in enumerate(edges):
         adj[u].setdefault((0, lab), set()).add(eid)
         adj[v].setdefault((1, lab), set()).add(eid)
 
@@ -279,19 +275,19 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
         # e1 and e2 share their d-end; re-gauge the class `side` of their
         # other ends by g, so that g times the old gauge at that end is
         # the gauge at the other: out-edges become g.w, in-edges w.g^-1
-        w1, w2 = edges[e1][5], edges[e2][5]
+        w1, w2 = edges[e1][3], edges[e2][3]
         if side != u2:
             w1, w2 = w2, w1
         g = free_reduce(invert(w1) + w2 if d == 0 else w1 + invert(w2))
         if not g:
             return
         g_inv = invert(g)
-        for e in {e for s in adj[side].values() for e in s if edges[e][4]}:
+        for e in {e for s in adj[side].values() for e in s if into[e] == e}:
             rec = edges[e]
             if find(rec[0]) == side:
-                rec[5] = free_reduce(g + rec[5])
+                rec[3] = free_reduce(g + rec[3])
             if find(rec[1]) == side:
-                rec[5] = free_reduce(rec[5] + g_inv)
+                rec[3] = free_reduce(rec[3] + g_inv)
 
     while work:
         v0, d, lab = heapq.heappop(work)
@@ -301,7 +297,7 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
         eids = table.get(key)
         if not eids:
             continue
-        alive = sorted(e for e in eids if edges[e][4])
+        alive = sorted(e for e in eids if into[e] == e)
         if len(alive) != len(eids):
             table[key] = set(alive)
         if len(alive) < 2:
@@ -309,9 +305,7 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
         e1, e2 = alive[0], alive[1]
         u1 = find(edges[e1][1 - d])
         u2 = find(edges[e2][1 - d])
-        # merge e2 into e1, pooling provenance
-        edges[e2][4] = False
-        edges[e1][3] |= edges[e2][3]
+        into[e2] = e1  # e2 merges into e1
         table[key].discard(e2)
         okey = (1 - d, lab)
         t2 = adj[u2]
@@ -337,8 +331,16 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
         if len(table[key]) >= 2:
             heapq.heappush(work, (find(v), d, lab))
 
-    # compact the quotient
-    alive_edges = [e for e in edges if e[4]]
+    # compact the quotient; an edge only merges into a smaller id, so one
+    # pass in id order finds every edge's alive descendant
+    new_id: list[int] = []
+    kept = []
+    for e, t in enumerate(into):
+        if t == e:
+            new_id.append(len(kept))
+            kept.append(edges[e])
+        else:
+            new_id.append(new_id[t])
     remap: dict[int, int] = {}
 
     def rid(x: int) -> int:
@@ -348,12 +350,12 @@ def fold(graph: StallingsGraph) -> StallingsGraph:
         return remap[r]
 
     base = rid(graph.base)
-    out_edges = []
-    for u, v, lab, prov, _, _ in alive_edges:
-        out_edges.append((rid(u), rid(v), lab, frozenset(prov)))
-    n_alive = len(remap)
-    folded = StallingsGraph(n_alive, base, out_edges, folded=True)
-    folded._words = [rec[5] for rec in alive_edges]
+    cols = np.array([(rid(u), rid(v), lab) for u, v, lab, _ in kept],
+                    dtype=np.int64).reshape(-1, 3)
+    folded = StallingsGraph(len(remap), base, cols[:, 0], cols[:, 1], cols[:, 2],
+                            np.array(new_id, dtype=np.int64)[graph.owner],
+                            graph.petal_start, folded=True)
+    folded._words = [rec[3] for rec in kept]
     return folded
 
 
@@ -410,9 +412,9 @@ def fold_one_round(images) -> StallingsGraph | None:
     renumber[np.argsort(first_seen)] = np.arange(first_seen.size)
     ids = renumber[inv].astype(np.int32)
     owner = (np.cumsum(alive) - 1)[survivor].astype(np.int32)
-    return StallingsGraph.from_arrays(
+    return StallingsGraph(
         int(first_seen.size), 0, ids[1::2], ids[2::2], lab.astype(np.int32),
-        owner, L, folded=True)
+        owner, np.arange(k + 1) * L, folded=True)
 
 
 def fold_images(images) -> StallingsGraph:
@@ -502,32 +504,6 @@ class PositiveEndomorphism:
             self._graph = fold_images(self.images)
         return self._graph
 
-    def _tree_paths(self) -> list:
-        """Reduced word from the base vertex to every vertex of the
-        folded graph, along a breadth-first tree in (label, direction)
-        order.  Canonical given the folded graph."""
-        if getattr(self, "_tree_cache", None) is None:
-            g = self.graph
-            out, inc = g._tables()
-            hops: dict[int, list[tuple[int, int]]] = {}
-            for (v, lab), (w, _) in out.items():
-                hops.setdefault(v, []).append((lab, w))
-            for (v, lab), (w, _) in inc.items():
-                hops.setdefault(v, []).append((-lab, w))
-            paths: list = [None] * g.n_vertices
-            paths[g.base] = ()
-            queue = [g.base]
-            qi = 0
-            while qi < len(queue):
-                v = queue[qi]
-                qi += 1
-                for step, w in sorted(hops.get(v, [])):
-                    if paths[w] is None:
-                        paths[w] = paths[v] + (step,)
-                        queue.append(w)
-            self._tree_cache = paths
-        return self._tree_cache
-
     def coset_rep(self, g: Sequence[int]) -> Word:
         """Canonical representative of the left coset (image subgroup)*g.
 
@@ -538,17 +514,8 @@ class PositiveEndomorphism:
         by that suffix.  Empty iff g lies in the image subgroup."""
         w = free_reduce(g)
         graph = self.graph
-        out, inc = graph._tables()
-        v = graph.base
-        i = 0
-        while i < len(w):
-            x = w[i]
-            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
-            if hop is None:
-                break
-            v = hop[0]
-            i += 1
-        return self._tree_paths()[v] + w[i:]
+        v, i = graph._walk(w, graph.base)
+        return graph._tree()[v] + w[i:]
 
     @property
     def certificate(self) -> "InjectivityCertificate":

@@ -19,6 +19,7 @@ report that rather than assume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -410,11 +411,8 @@ def build_level_link(spec: GroupSpec, level_index: int) -> LinkGraph:
     """Link contribution of a single level's cells (used by the chain
     gluing check, where each attachment is tested in the new block's
     link alone)."""
-    sub = GroupSpec(
-        spec.structure, spec.params, spec.alphabet,
-        [spec.levels[level_index]], spec.base_ids, spec.base_free_ids,
-        spec.convex_ids, spec.target_ids,
-    )
+    sub = GroupSpec(spec.structure, spec.params, spec.alphabet,
+                    [spec.levels[level_index]], spec.base_ids, spec.convex_ids)
     return build_link(sub)
 
 
@@ -435,8 +433,6 @@ class GirthReport:
 
     @property
     def angular_girth(self) -> float:
-        import math
-
         g = 4 if self.combinatorial_girth is None else self.combinatorial_girth
         return g * RIGHT_ANGLE * math.pi
 
@@ -604,8 +600,6 @@ class SeparationReport:
 
     @property
     def angular(self) -> float:
-        import math
-
         d = 4 if self.min_distance is None else self.min_distance
         return d * RIGHT_ANGLE * math.pi
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distortion import DistortionCurve, Exact
 from .errors import CapExceededError, InvalidInputError
 from .folding import PositiveEndomorphism
 from .presentations import GroupSpec, retractions
@@ -503,8 +504,6 @@ def measure_distortion(spec: GroupSpec, radius: int,
     """Exact empirical distortion curve: for each rho <= radius the
     largest bottom-free-group length among ball elements lying in the
     distorted subgroup."""
-    from .distortion import DistortionCurve, Exact
-
     rec = ball(spec, radius, cap)
     best = 0
     per_radius = {}

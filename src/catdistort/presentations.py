@@ -130,16 +130,13 @@ class GroupSpec:
 
     def __init__(self, structure: str, params: dict, alphabet: Alphabet,
                  levels: Sequence[LevelSpec], base_ids: Sequence[int],
-                 base_free_ids: Sequence[int], convex_ids: Sequence[int],
-                 target_ids: Sequence[int]):
+                 convex_ids: Sequence[int]):
         self.structure = structure
         self.params = dict(params)
         self.alphabet = alphabet
         self.levels = tuple(levels)
         self.base_ids = tuple(base_ids)
-        self.base_free_ids = tuple(base_free_ids)
         self.convex_ids = tuple(convex_ids)
-        self.target_ids = tuple(target_ids)
         self._wp = None
 
     # -- inventory --------------------------------------------------------
@@ -204,10 +201,7 @@ class GroupSpec:
             other.structure, other.params, other.alphabet
         ):
             return False
-        if (self.base_ids, self.base_free_ids, self.convex_ids,
-                self.target_ids) != (
-                other.base_ids, other.base_free_ids, other.convex_ids,
-                other.target_ids):
+        if (self.base_ids, self.convex_ids) != (other.base_ids, other.convex_ids):
             return False
         if len(self.levels) != len(other.levels):
             return False
@@ -274,8 +268,7 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
                       dom_kind="base", cod_kind="base")
     spec = GroupSpec(
         "block", {"n": n, "m": m, "L": L}, alphabet, [level],
-        base_ids=a_ids, base_free_ids=a_ids, convex_ids=t_ids,
-        target_ids=a_ids,
+        base_ids=a_ids, convex_ids=t_ids,
     )
     return _maybe_certify(spec, certify)
 
@@ -318,8 +311,7 @@ def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
                                 dom_kind=dom_kind, cod_kind=dom_kind))
     spec = GroupSpec(
         "chain", {"l": l, "L": L}, alphabet, levels,
-        base_ids=level_ids[-1], base_free_ids=level_ids[-1],
-        convex_ids=t_ids, target_ids=level_ids[-1],
+        base_ids=level_ids[-1], convex_ids=t_ids,
     )
     return _maybe_certify(spec, certify)
 
@@ -361,8 +353,7 @@ def build_double(n: int, m: int, L: int = 14,
                         dom_kind="reduce", cod_kind="retract")
     spec = GroupSpec(
         "double", {"n": n, "m": m, "L": L}, alphabet, [s_level, t_level],
-        base_ids=a_ids, base_free_ids=a_ids, convex_ids=(s_id,),
-        target_ids=a_ids,
+        base_ids=a_ids, convex_ids=(s_id,),
     )
     return _maybe_certify(spec, certify)
 
@@ -374,7 +365,7 @@ def free_group(rank: int) -> GroupSpec:
         raise InvalidParameterError("rank must be positive")
     alphabet = Alphabet([Gen("a", j) for j in range(1, rank + 1)])
     ids = tuple(range(1, rank + 1))
-    return GroupSpec("free", {"rank": rank}, alphabet, [], ids, ids, (), ids)
+    return GroupSpec("free", {"rank": rank}, alphabet, [], ids, ())
 
 
 # -- retractions -------------------------------------------------------------
@@ -471,11 +462,13 @@ def spec_to_dict(spec: GroupSpec) -> dict:
         "params": dict(spec.params),
         "generators": [g.token for g in al],
         "levels": levels,
+        # the format also names the free bottom and the target subgroup,
+        # which are the base in every construction
         "distinguished": {
             "base": toks(spec.base_ids),
-            "base_free": toks(spec.base_free_ids),
+            "base_free": toks(spec.base_ids),
             "convex_rose": toks(spec.convex_ids),
-            "target": toks(spec.target_ids),
+            "target": toks(spec.base_ids),
         },
     }
 

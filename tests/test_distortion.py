@@ -1,7 +1,7 @@
+import decimal
 import math
 import sys
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -66,9 +66,11 @@ class TestCalculus:
         s = str(v.value)
         assert len(s) == 225
         # leading digits cross-checked by high-precision logarithm
-        mpmath.mp.dps = 50
-        lead = mpmath.mpf(10) ** (196 * mpmath.log10(14) - 224)
-        assert str(lead)[:7] == f"{s[0]}.{s[1:6]}"
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            D = decimal.Decimal
+            lead = D(10) ** (196 * D(14).log10() - 224)
+        assert str(lead)[:7] == f"{s[0]}.{s[1:6]}" == "4.37617"
 
     def test_decimal_digits_leave_interpreter_limit(self, monkeypatch):
         before = sys.get_int_max_str_digits()
@@ -88,6 +90,18 @@ class TestCalculus:
             back = back * 10 ** len(chunk) + int(chunk)
         assert back == v and text[0] != "0"
         assert expr_to_dict(Exact(v))["value"] == text
+
+    def test_equal_values_hash_equal(self):
+        eight = {Exact(8), Tower(2, 1, Exact(3)), Mul(2, Exact(4)), Sum((Exact(5),), 3)}
+        assert len(eight) == 1 and 8 in eight
+        assert Tower(2, 1, Exact(3)) == 8 and Mul(2, Exact(4)) == 8
+        assert Exact(8) != 9 and Exact(0) != -1 and Exact(8) != "8"
+        # past the cutoff an exact value meets the tower it equals
+        n = DEFAULT_BIT_CUTOFF + 1
+        big, tower = Exact(2 ** n), Tower(2, 1, Exact(n))
+        assert isinstance(normalize(tower), Tower)
+        assert big == tower and hash(big) == hash(tower)
+        assert len({big, tower, Mul(2, Tower(2, 1, Exact(n - 1)))}) == 1
 
     def test_comparisons_exact(self):
         assert expr_cmp(Exact(5), Exact(7)) < 0
