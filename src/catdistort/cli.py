@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import presentations as P
 from . import linkgeom as LG
 from .distortion import (
@@ -103,7 +101,7 @@ def _verify_report(spec, full: bool) -> dict:
 
     # pair-uniqueness per level family
     for k, lv in enumerate(spec.levels):
-        rep = check_pair_uniqueness(np.vstack([phi.images for phi in lv.endos]))
+        rep = check_pair_uniqueness(lv.images)
         add(f"pair-uniqueness-level-{k}", "ok" if rep.ok else "failed",
             duplicates=[list(map(list, d)) for d in rep.duplicates[:5]]
             if not rep.ok else [])

@@ -335,6 +335,23 @@ class Witness:
         }
 
 
+#: cap on the letters of an explicit witness word (block, chain or tower):
+#: tower stages k <= 20
+TOWER_LETTER_CAP = 1 << 22
+
+
+def _check_witness_letters(kind: str, letters: int) -> None:
+    """Raise :class:`CapExceededError`, before a witness builds any
+    letter, when its word would exceed :data:`TOWER_LETTER_CAP`.  Callers
+    clamp doubling exponents at 64, so a count of 2^62 letters or more
+    is reported as such, never computed or printed in full."""
+    if letters > TOWER_LETTER_CAP:
+        raise CapExceededError(
+            f"the {kind} witness word has "
+            f"{letters if letters < 1 << 62 else 'over 2^62'} letters, "
+            f"above the cap {TOWER_LETTER_CAP}")
+
+
 def _block_ids(spec: GroupSpec):
     lv = spec.levels[-1]
     return lv.stable_ids[0], lv.domain_ids[0]
@@ -346,6 +363,7 @@ def witness_block(spec: GroupSpec, n: int) -> Witness:
         raise InvalidParameterError("n must be nonnegative")
     if spec.structure != "block":
         raise InvalidInputError("block witness needs a block presentation")
+    _check_witness_letters("block", 2 * n + 1)
     L = spec.params["L"]
     t, a = _block_ids(spec)
     word = (t,) * n + (a,) + (-t,) * n
@@ -364,6 +382,7 @@ def witness_chain(l: int, L: int, n: int,
     word, multiplying length exactly by L per letter)."""
     if l < 1 or n < 0 or L < 2:
         raise InvalidParameterError("need l >= 1, n >= 0, L >= 2")
+    _check_witness_letters("chain", 2 ** min(l, 64) * (n + 1) - 1)
     if spec is not None:
         if spec.structure != "chain" or spec.params["l"] != l \
                 or spec.params["L"] != L:
@@ -397,10 +416,6 @@ def tower_geodesic_bounds(k_max: int) -> list[int]:
     return out
 
 
-#: cap on the letters of an explicit tower witness word: stages k <= 20
-TOWER_LETTER_CAP = 1 << 22
-
-
 def witness_tower(k: int, L: int = 14,
                   spec: GroupSpec | None = None) -> Witness:
     """w_1 = t a t^-1 and w_k = (s w_(k-1) s^-1) a (s w_(k-1)^-1 s^-1).
@@ -409,15 +424,10 @@ def witness_tower(k: int, L: int = 14,
     bound stays <= 4^k); subgroup lengths obey h_1 = L and
     h_k = L^(L * h_(k-1)): conjugating the single letter a by the
     positive stable word of length L * h_(k-1) multiplies length by L
-    that many times.  Raises :class:`CapExceededError`, before building
-    anything, when the word would exceed :data:`TOWER_LETTER_CAP`."""
+    that many times."""
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
-    letters = 2 ** (k + 2) - 5
-    if letters > TOWER_LETTER_CAP:
-        raise CapExceededError(
-            f"the stage-{k} tower word has {letters} letters, above the cap "
-            f"{TOWER_LETTER_CAP}")
+    _check_witness_letters(f"stage-{k} tower", 2 ** (min(k, 64) + 2) - 5)
     if spec is not None:
         if spec.structure != "double" or spec.params["L"] != L:
             raise InvalidInputError("spec does not match the requested double")

@@ -88,20 +88,24 @@ class StallingsGraph:
         preimage under the map sending petal j to the positive word it
         spells.
 
-        :func:`fold` carries them through its folds.  A rose, and a graph
-        from :func:`fold_one_round`, derive them on first call: j + 1
-        goes to the edge that petal j's rose edge at position
-        min(1, len_j - 1) descends to, which on both is petal j's alone,
-        and every other edge reads nothing.
+        :func:`fold` carries them through its folds.  A graph from
+        :func:`fold_one_round` derives them on first call: j + 1 goes to
+        the edge that petal j's carrier, its rose edge at position
+        min(1, len_j - 1), descends to, which is petal j's alone, and
+        every other edge reads nothing.  :func:`rose_from_words` gives the
+        carrier -(j + 1) instead where petal j crosses it backwards.
         """
         if self._words is None:
-            starts = self.petal_start
-            at = starts[:-1] + np.minimum(1, np.diff(starts) - 1)
             words: list[Word] = [()] * self.n_edges
-            for j, e in enumerate(self.owner[at].tolist()):
+            for j, e in enumerate(self.owner[self._carriers()].tolist()):
                 words[e] = (j + 1,)
             self._words = words
         return self._words
+
+    def _carriers(self) -> np.ndarray:
+        """Per petal j, its rose edge at position min(1, len_j - 1)."""
+        starts = self.petal_start
+        return starts[:-1] + np.minimum(1, np.diff(starts) - 1)
 
     def _tables(self):
         if self._out is None:
@@ -209,7 +213,8 @@ class StallingsGraph:
 
 def rose_from_words(words: Sequence[Sequence[int]]) -> StallingsGraph:
     """Wedge of subdivided circles at a base vertex, the j-th spelling
-    ``words[j]``.  Rose edge i is edge i."""
+    ``words[j]``.  Rose edge i is edge i, and its petal word is signed
+    (:meth:`StallingsGraph.petal_words`)."""
     if len(words) == 0:
         raise InvalidInputError("rose needs at least one word")
     lengths = [len(w) for w in words]
@@ -224,9 +229,15 @@ def rose_from_words(words: Sequence[Sequence[int]]) -> StallingsGraph:
     after[petal_start[1:] - 1] = 0
     before = np.roll(after, 1)
     fwd = letters > 0
-    return StallingsGraph(n + 1 - len(words), 0, np.where(fwd, before, after),
+    rose = StallingsGraph(n + 1 - len(words), 0, np.where(fwd, before, after),
                           np.where(fwd, after, before), np.abs(letters),
                           np.arange(n), petal_start)
+    # a petal that crosses its carrier backwards reads its letter inverted;
+    # a one-letter petal's carrier is a loop, so only its letter can tell
+    words, at = rose.petal_words(), rose._carriers()
+    for j in np.flatnonzero(letters[at] < 0).tolist():
+        words[at[j]] = (-j - 1,)
+    return rose
 
 
 def fold(graph: StallingsGraph) -> StallingsGraph:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .presentations import GroupSpec, LevelSpec, Relator
+from .presentations import GroupSpec, Relator
 from .words import Alphabet
 
 RIGHT_ANGLE = 0.5  # corner weight in units of pi
@@ -344,42 +344,30 @@ class LinkGraph:
         return "\n".join(lines)
 
 
-def _cells_of_level(level: LevelSpec):
-    """Per-cell arrays (stable, base, image rows) for one HNN level."""
-    stables = []
-    bases = []
-    imgs = []
-    for si, s_id in enumerate(level.stable_ids):
-        arr = level.endos[si].images
-        k = arr.shape[0]
-        stables.append(np.full(k, s_id, dtype=np.int64))
-        bases.append(np.asarray(level.domain_ids, dtype=np.int64))
-        imgs.append(arr.astype(np.int64))
-    return (np.concatenate(stables), np.concatenate(bases),
-            np.vstack(imgs))
-
-
 def build_link(spec: GroupSpec) -> LinkGraph:
     """Union of all cells' link contributions on the shared direction
     vertex set.  Marked subsets: one per level ("stable-0", "stable-1",
-    ...) collecting that level's stable-letter directions."""
+    ...) collecting that level's stable-letter directions.
+
+    Cells are the levels' image rows in order; each corner template
+    fills one row range of the edge array with its two columns, read off
+    the level's stable, base and image columns."""
     G = len(spec.alphabet)
     chord_base = 2 * G
-    blocks = []
-    cell_offset = 0
-    nc_ref: int | None = None
-    for lv in spec.levels:
-        L = lv.image_length
-        templates, _, nc = ladder_corner_templates(L)
-        if nc_ref is None:
-            nc_ref = nc
-        elif nc != nc_ref:
-            raise InvalidParameterError(
-                "mixed image lengths across levels are not supported by the "
-                "uniform chord-id layout"
-            )
-        S, B, Y = _cells_of_level(lv)
-        ncells = S.shape[0]
+    layouts = [ladder_corner_templates(lv.image_length) for lv in spec.levels]
+    if len({nc for _, _, nc in layouts}) > 1:
+        raise InvalidParameterError(
+            "mixed image lengths across levels are not supported by the "
+            "uniform chord-id layout"
+        )
+    nc = layouts[0][2] if layouts else 0
+    edges = np.empty((sum(lv.images.shape[0] * len(t) for lv, (t, _, _)
+                          in zip(spec.levels, layouts)), 2), dtype=np.int64)
+    row = cell_offset = 0
+    for lv, (templates, _, _) in zip(spec.levels, layouts):
+        S, B = lv.row_letters()
+        Y = lv.images
+        ncells = Y.shape[0]
         C = np.arange(cell_offset, cell_offset + ncells, dtype=np.int64)
         cell_offset += ncells
 
@@ -395,8 +383,9 @@ def build_link(spec: GroupSpec) -> LinkGraph:
             return 2 * (Y[:, kind[1] - 1] - 1) + tag
 
         for a, b in templates:
-            blocks.append(np.stack([col(a), col(b)], axis=1))
-    edges = np.concatenate(blocks, axis=0) if blocks else np.empty((0, 2), np.int64)
+            edges[row:row + ncells, 0] = col(a)
+            edges[row:row + ncells, 1] = col(b)
+            row += ncells
     marked = {}
     for k, lv in enumerate(spec.levels):
         ids = []
@@ -404,7 +393,7 @@ def build_link(spec: GroupSpec) -> LinkGraph:
             ids += [2 * (g - 1), 2 * (g - 1) + 1]
         marked[f"stable-{k}"] = np.asarray(ids, dtype=np.int64)
     return LinkGraph(G, edges, chord_base, marked, spec.alphabet,
-                     n_chords_per_cell=nc_ref or 0)
+                     n_chords_per_cell=nc)
 
 
 def build_level_link(spec: GroupSpec, level_index: int) -> LinkGraph:

@@ -17,7 +17,7 @@ words of uniform length L over a codomain alphabet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -94,10 +94,16 @@ class Relator:
         return (self.stable, self.base, -self.stable) + invert(self.image)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSpec:
-    """One HNN level: stable letters and the endomorphism family they
-    realize, with the domain/codomain letters named globally.
+    """One HNN level: stable letters, the domain/codomain letters named
+    globally, and the level's one family of relator images.
+
+    ``images`` has one int32 row per relator, in relator order: stable
+    letter outer, domain letter inner (:meth:`row_letters` names each
+    row's two letters).  ``endos[i]``, the map of ``stable_ids[i]``, is
+    built on the row block ``i*r .. (i+1)*r - 1`` (r = ``len(domain_ids)``)
+    as a view, so every check reads the family in place.
 
     ``dom_kind`` records how membership in the domain subgroup F(domain)
     of the level's base group is decided:
@@ -115,13 +121,33 @@ class LevelSpec:
     stable_ids: tuple[int, ...]
     domain_ids: tuple[int, ...]
     codomain_ids: tuple[int, ...]
-    endos: tuple[PositiveEndomorphism, ...]
+    images: np.ndarray
     dom_kind: str
     cod_kind: str
+    endos: tuple[PositiveEndomorphism, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        images = np.asarray(self.images, dtype=np.int32)
+        r = len(self.domain_ids)
+        if images.ndim != 2 or images.shape[0] != len(self.stable_ids) * r:
+            raise InvalidParameterError(
+                f"a level needs {len(self.stable_ids)} x {r} image rows")
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "endos", tuple(
+            PositiveEndomorphism(images[i * r:(i + 1) * r], self.domain_ids)
+            for i in range(len(self.stable_ids))))
 
     @property
     def image_length(self) -> int:
-        return self.endos[0].length
+        return self.images.shape[1]
+
+    def row_letters(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each image row's stable and base (domain) letter, as int64
+        columns."""
+        r = len(self.domain_ids)
+        return (np.repeat(np.asarray(self.stable_ids, dtype=np.int64), r),
+                np.tile(np.asarray(self.domain_ids, dtype=np.int64),
+                        len(self.stable_ids)))
 
 
 class GroupSpec:
@@ -146,19 +172,16 @@ class GroupSpec:
         return len(self.alphabet)
 
     def relator_count(self) -> int:
-        return sum(len(lv.stable_ids) * len(lv.domain_ids) for lv in self.levels)
+        return sum(lv.images.shape[0] for lv in self.levels)
 
     def rose_edge_count(self) -> int:
         """Edges of all the roses that certification folds."""
-        return sum(len(lv.stable_ids) * len(lv.domain_ids) * lv.image_length
-                   for lv in self.levels)
+        return sum(lv.images.size for lv in self.levels)
 
     def relators(self) -> Iterator[Relator]:
         for lv in self.levels:
-            for si, s_id in enumerate(lv.stable_ids):
-                images = lv.endos[si].images
-                for j, b_id in enumerate(lv.domain_ids):
-                    yield Relator(s_id, b_id, tuple(int(x) for x in images[j]))
+            for s, b, row in zip(*lv.row_letters(), lv.images):
+                yield Relator(int(s), int(b), tuple(row.tolist()))
 
     def stable_id_set(self) -> frozenset[int]:
         out = frozenset()
@@ -210,9 +233,8 @@ class GroupSpec:
                     a.cod_kind) != (b.stable_ids, b.domain_ids,
                                     b.codomain_ids, b.dom_kind, b.cod_kind):
                 return False
-            for pa, pb in zip(a.endos, b.endos):
-                if not np.array_equal(pa.images, pb.images):
-                    return False
+            if not np.array_equal(a.images, b.images):
+                return False
         return True
 
     def __repr__(self):
@@ -220,23 +242,17 @@ class GroupSpec:
         return f"GroupSpec({self.structure}, {p})"
 
 
-def _endos(letters: Sequence[int], L: int, n_maps: int,
-           domain_ids: tuple[int, ...]) -> tuple[PositiveEndomorphism, ...]:
-    """``n_maps`` maps on ``domain_ids``: chop the square-length word over
-    ``letters`` into n_maps * len(domain_ids) images of L letters, census
-    their pairs as one family, and give each map len(domain_ids) rows."""
-    # the local ids are shifted in place and freed before the census: a
-    # second copy, or one held through the census, raises the peak RSS of
-    # build_double(196, 2744, 14) from 412 MB to 441 MB
-    local = chop_ids(sigma_ids(len(letters)), L, n_maps * len(domain_ids))
-    local -= 1
-    fam = np.asarray(letters, dtype=np.int32)[local]
-    del local
+def _level(stable: tuple[int, ...], domain: tuple[int, ...],
+           letters: tuple[int, ...], L: int, dom_kind: str,
+           cod_kind: str) -> LevelSpec:
+    """The level whose images chop the square-length word over
+    ``letters`` into len(stable) * len(domain) words of L letters, with
+    their pairs censused as one family."""
+    local = chop_ids(sigma_ids(len(letters)), L, len(stable) * len(domain))
+    fam = np.asarray(letters, dtype=np.int32)[local - 1]
     if not check_pair_uniqueness(fam).ok:
         raise ConstructionError("image family repeats an ordered pair")
-    r = len(domain_ids)
-    return tuple(PositiveEndomorphism(fam[i * r:(i + 1) * r], domain_ids)
-                 for i in range(n_maps))
+    return LevelSpec(stable, domain, letters, fam, dom_kind, cod_kind)
 
 
 def _maybe_certify(spec: GroupSpec, certify: bool | None):
@@ -264,10 +280,9 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
     alphabet = Alphabet(gens)
     a_ids = tuple(range(1, m + 1))
     t_ids = tuple(range(m + 1, m + n + 1))
-    level = LevelSpec(t_ids, a_ids, a_ids, _endos(a_ids, L, n, a_ids),
-                      dom_kind="base", cod_kind="base")
     spec = GroupSpec(
-        "block", {"n": n, "m": m, "L": L}, alphabet, [level],
+        "block", {"n": n, "m": m, "L": L}, alphabet,
+        [_level(t_ids, a_ids, a_ids, L, "base", "base")],
         base_ids=a_ids, convex_ids=t_ids,
     )
     return _maybe_certify(spec, certify)
@@ -303,12 +318,9 @@ def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
     t_ids = (1,)
     levels = []
     for k in range(l):
-        stable = t_ids if k == 0 else level_ids[k - 1]
-        domain = level_ids[k]
-        dom_kind = "base" if k == l - 1 else "retract"
-        levels.append(LevelSpec(tuple(stable), domain, domain,
-                                _endos(domain, L, len(stable), domain),
-                                dom_kind=dom_kind, cod_kind=dom_kind))
+        kind = "base" if k == l - 1 else "retract"
+        levels.append(_level(t_ids if k == 0 else level_ids[k - 1],
+                             level_ids[k], level_ids[k], L, kind, kind))
     spec = GroupSpec(
         "chain", {"l": l, "L": L}, alphabet, levels,
         base_ids=level_ids[-1], convex_ids=t_ids,
@@ -347,10 +359,8 @@ def build_double(n: int, m: int, L: int = 14,
     a_ids = tuple(range(1, m + 1))
     t_ids = tuple(range(m + 1, m + n + 1))
     s_id = m + n + 1
-    t_level = LevelSpec(t_ids, a_ids, a_ids, _endos(a_ids, L, n, a_ids),
-                        dom_kind="base", cod_kind="base")
-    s_level = LevelSpec((s_id,), a_ids, t_ids, _endos(t_ids, L, 1, a_ids),
-                        dom_kind="reduce", cod_kind="retract")
+    t_level = _level(t_ids, a_ids, a_ids, L, "base", "base")
+    s_level = _level((s_id,), a_ids, t_ids, L, "reduce", "retract")
     spec = GroupSpec(
         "double", {"n": n, "m": m, "L": L}, alphabet, [s_level, t_level],
         base_ids=a_ids, convex_ids=(s_id,),
@@ -392,18 +402,15 @@ def retractions(spec: GroupSpec) -> list[tuple[str, frozenset[int]]]:
 
 
 def _relator_rows(level: LevelSpec) -> np.ndarray:
-    """The level's relator words as rows ``(s, b, s^-1, image^-1)``, stable
-    letter outer and base letter inner, as :meth:`GroupSpec.relators`
-    yields them."""
-    blocks = []
-    for s_id, phi in zip(level.stable_ids, level.endos):
-        rows = np.empty((phi.domain_rank, phi.length + 3), dtype=np.int64)
-        rows[:, 0] = s_id
-        rows[:, 1] = level.domain_ids
-        rows[:, 2] = -s_id
-        rows[:, 3:] = -phi.images[:, ::-1]
-        blocks.append(rows)
-    return np.vstack(blocks)
+    """The level's relator words as rows ``(s, b, s^-1, image^-1)``, in
+    the order :meth:`GroupSpec.relators` yields them."""
+    s, b = level.row_letters()
+    rows = np.empty((s.size, level.image_length + 3), dtype=np.int64)
+    rows[:, 0] = s
+    rows[:, 1] = b
+    rows[:, 2] = -s
+    rows[:, 3:] = -level.images[:, ::-1]
+    return rows
 
 
 def _reduces_to_empty(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:

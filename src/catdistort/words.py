@@ -200,85 +200,55 @@ class PairReport:
     positive words (consecutive positions inside each word only; nothing is
     counted across word boundaries).
 
-    ``ok`` is true iff every pair occurs at most once.  ``duplicates`` lists
-    the offending pairs with their counts.  The full census is kept in
-    compact arrays and exposed through :meth:`count_of` / :meth:`items`.
+    ``ok`` is true iff every pair occurs at most once, ``total_positions``
+    counts the pair positions and ``distinct_pairs`` the different pairs.
+    ``duplicates`` lists each repeated pair with its count, in pair order;
+    it is empty when ``ok``.
     """
 
     ok: bool
     duplicates: tuple[tuple[tuple[int, int], int], ...]
     total_positions: int
     distinct_pairs: int
-    _keys: np.ndarray  # sorted encoded pairs
-    _counts: np.ndarray
-    _mod: int
-
-    def count_of(self, pair: tuple[int, int]) -> int:
-        key = (pair[0] - 1) * self._mod + (pair[1] - 1)
-        i = int(np.searchsorted(self._keys, key))
-        if i < len(self._keys) and self._keys[i] == key:
-            return int(self._counts[i])
-        return 0
-
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        for key, cnt in zip(self._keys.tolist(), self._counts.tolist()):
-            yield (key // self._mod + 1, key % self._mod + 1), int(cnt)
 
 
 def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
     """Census every ordered length-2 subword across the family.
 
-    Each word contributes its consecutive pairs; pairs straddling word
-    boundaries are not counted.  ``ok`` iff no pair occurs twice.  A 2-D
-    array is censused whole, with one sort of its pair keys.
+    The family is anything :func:`numpy.asarray` makes 2-D, one word per
+    row; pairs straddling rows are not counted.  The pair keys
+    ``(first - 1) * max_id + second - 1`` are built in one int64 array, a
+    column at a time, and sorted in place; the report reads off
+    neighbouring keys.  A ragged family raises :class:`InvalidInputError`.
     """
-    if len(words) == 0:
-        raise InvalidInputError("empty word family")
-    if isinstance(words, np.ndarray) and words.ndim == 2:
-        if words.shape[1] == 0:
-            raise InvalidInputError("empty word in family")
-        arr = words.astype(np.int64, copy=False)
-        if arr.min() < 1:
-            raise InvalidInputError("pair census is defined for positive words")
-        mod = int(arr.max())
-        keys = ((arr[:, :-1] - 1) * mod + (arr[:, 1:] - 1)).ravel()
-        return _census(keys, mod)
-    arrays = []
-    max_id = 0
-    for w in words:
-        arr = np.asarray(w, dtype=np.int64)
-        if arr.size and arr.min() < 1:
-            raise InvalidInputError("pair census is defined for positive words")
-        if arr.size == 0:
-            raise InvalidInputError("empty word in family")
-        if arr.size >= 2:
-            arrays.append(arr)
-        max_id = max(max_id, int(arr.max()))
-    mod = max(max_id, 1)
-    if not arrays:
-        return _census(np.empty(0, dtype=np.int64), mod)
-    firsts = np.concatenate([a[:-1] for a in arrays])
-    seconds = np.concatenate([a[1:] for a in arrays])
-    return _census((firsts - 1) * mod + (seconds - 1), mod)
-
-
-def _census(keys: np.ndarray, mod: int) -> PairReport:
-    """The report on encoded pair keys ``(first - 1) * mod + second - 1``."""
-    uniq, counts = np.unique(keys, return_counts=True)
-    bad = counts > 1
-    duplicates = tuple(
-        ((int(k // mod + 1), int(k % mod + 1)), int(c))
-        for k, c in zip(uniq[bad].tolist(), counts[bad].tolist())
-    )
-    return PairReport(
-        ok=not bool(bad.any()),
-        duplicates=duplicates,
-        total_positions=int(keys.size),
-        distinct_pairs=int(uniq.size),
-        _keys=uniq,
-        _counts=counts,
-        _mod=mod,
-    )
+    try:
+        arr = np.asarray(words)
+    except ValueError:
+        raise InvalidInputError("word family is not rectangular") from None
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise InvalidInputError("expected a nonempty family of nonempty words")
+    if arr.min() < 1:
+        raise InvalidInputError("pair census is defined for positive words")
+    mod = int(arr.max())
+    keys = np.empty((arr.shape[0], arr.shape[1] - 1), dtype=np.int64)
+    keys[:] = arr[:, :-1]
+    keys -= 1
+    keys *= mod
+    keys += arr[:, 1:]
+    keys -= 1
+    keys = keys.ravel()
+    keys.sort()
+    new = keys[1:] != keys[:-1]
+    distinct = int(np.count_nonzero(new)) + (keys.size > 0)
+    duplicates = ()
+    if distinct < keys.size:
+        starts = np.flatnonzero(np.concatenate(([True], new, [True])))
+        counts = np.diff(starts)
+        bad = counts > 1
+        duplicates = tuple(
+            ((k // mod + 1, k % mod + 1), c) for k, c in
+            zip(keys[starts[:-1][bad]].tolist(), counts[bad].tolist()))
+    return PairReport(not duplicates, duplicates, int(keys.size), distinct)
 
 
 # -- chopping ---------------------------------------------------------------

@@ -228,6 +228,17 @@ class TestWitness:
         assert code == 3 and out == ""
         assert "4294967291 letters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,letters", [
+        (["--block", "1", "14", "14", "--n", str(2 ** 21)], 2 ** 22 + 1),
+        (["--chain", "2", "14", "--n", str(2 ** 20)], 2 ** 22 + 3),
+        # 2^20002 letters has more decimal digits than str() may print
+        (["--double", "9", "27", "3", "--k", "20000"], "over 2^62"),
+    ], ids=["block", "chain", "tower-beyond-str"])
+    def test_witness_words_over_budget_exit_cap(self, argv, letters, capsys):
+        code, out = run(["witness"] + argv)
+        assert code == 3 and out == ""
+        assert f"{letters} letters" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_stallings(self):

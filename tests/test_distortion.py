@@ -234,6 +234,11 @@ class TestBlockWitness:
             assert all(x > 0 for x in base)
             assert expr_cmp(w.subgroup_length, Exact(len(base))) == 0
 
+    def test_letter_budget_checked_first(self, b14):
+        # 2^22 + 1 letters, one past the cap; nothing is built
+        with pytest.raises(CapExceededError, match="4194305 letters"):
+            witness_block(b14, 2 ** 21)
+
 
 class TestChainWitness:
     def test_single_level_is_block_witness(self, b14):
@@ -270,6 +275,13 @@ class TestChainWitness:
         c = build_chain(2, 2)
         with pytest.raises(InvalidInputError):
             witness_chain(3, 2, 1, c)
+
+    def test_letter_budget_checked_first(self):
+        # 2^2 * (2^20 + 1) - 1 = 2^22 + 3 letters, just past the cap
+        with pytest.raises(CapExceededError, match="4194307 letters"):
+            witness_chain(2, 14, 2 ** 20)
+        with pytest.raises(CapExceededError, match="over 2.62 letters"):
+            witness_chain(10 ** 6, 14, 1)
 
 
 class TestTowerWitness:

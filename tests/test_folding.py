@@ -510,15 +510,18 @@ def test_certificate_holds_arrays_only():
 
 
 def test_census_array_matches_ragged_path():
+    """A family given as an array, an int32 array or a list of rows gets
+    one census."""
     rng = np.random.default_rng(7)
     for _ in range(200):
         k, L, m = rng.integers(1, 8), rng.integers(1, 7), rng.integers(1, 9)
         arr = rng.integers(1, m + 1, size=(k, L))
-        fast, ref = check_pair_uniqueness(arr), check_pair_uniqueness(arr.tolist())
-        assert (fast.ok, fast.duplicates, fast.total_positions,
-                fast.distinct_pairs) == (ref.ok, ref.duplicates,
-                                         ref.total_positions, ref.distinct_pairs)
-        assert list(fast.items()) == list(ref.items())
+        reps = [check_pair_uniqueness(f)
+                for f in (arr, arr.astype(np.int32), arr.tolist())]
+        assert len({(r.ok, r.duplicates, r.total_positions,
+                     r.distinct_pairs) for r in reps}) == 1
+    with pytest.raises(InvalidInputError):
+        check_pair_uniqueness([[1, 2, 3], [1, 2]])
     with pytest.raises(InvalidInputError):
         check_pair_uniqueness(np.array([[1, 0, 2]]))
     with pytest.raises(InvalidInputError):
@@ -539,10 +542,9 @@ def _retraction_by_relators(spec):
 def _chain_with_t_in_an_image():
     c = build_chain(2, 3, certify=False)
     top, low = c.levels
-    images = low.endos[0].images.copy()
+    images = low.images.copy()
     images[0, 1] = 1  # the stable letter t inside a level-1 image
-    endos = (PositiveEndomorphism(images),) + low.endos[1:]
-    bad = LevelSpec(low.stable_ids, low.domain_ids, low.codomain_ids, endos,
+    bad = LevelSpec(low.stable_ids, low.domain_ids, low.codomain_ids, images,
                     low.dom_kind, low.cod_kind)
     return GroupSpec(c.structure, c.params, c.alphabet, [top, bad], c.base_ids,
                      c.convex_ids)
@@ -879,11 +881,13 @@ def test_fold_orders_read_the_one_round_preimage(case):
 
 def _assert_petal_loops(rows, graph):
     """Along petal j's path, the edges its rose edges descend to, the
-    petal words multiply to (j + 1,)."""
+    petal words, inverted on edges crossed backwards, multiply to
+    (j + 1,)."""
     owner = {pp: e for e, (*_, prov) in enumerate(graph.edges) for pp in prov}
     words = graph.petal_words()
     for j, row in enumerate(rows):
-        loop = [x for p in range(len(row)) for x in words[owner[(j, p)]]]
+        loop = [y for p, x in enumerate(row) for y in
+                (words[owner[(j, p)]] if x > 0 else invert(words[owner[(j, p)]]))]
         assert free_reduce(loop) == (j + 1,)
 
 
@@ -918,3 +922,27 @@ def test_petal_loops_read_their_letter_on_any_positive_rose(rows, seed):
     graph = fold(relabelled(rose, seed) if seed else rose)
     assume(rank(graph) == len(rows))
     _assert_petal_loops(rows, graph)
+
+
+@pytest.mark.parametrize("rows", [[(1, -2, 3), (2, 3)], [(-1,), (2, 3)]])
+def test_signed_rose_petal_loops_read_their_letter(rows):
+    rose = rose_from_words(rows)
+    for graph in (rose, fold(rose)):
+        _assert_petal_loops(rows, graph)
+
+
+def test_random_signed_roses_keep_petal_loops():
+    rng = np.random.default_rng(5)
+    full_rank = 0
+    for _ in range(400):
+        k = int(rng.integers(1, 5))
+        rows = [tuple(int(x) for x in rng.choice((-1, 1), n)
+                      * rng.integers(1, 4, n)) for n in rng.integers(1, 6, k)]
+        rose = rose_from_words(rows)
+        graph = fold(rose)
+        if rank(graph) != k:
+            continue
+        full_rank += 1
+        _assert_petal_loops(rows, rose)
+        _assert_petal_loops(rows, graph)
+    assert full_rank >= 200

@@ -13,6 +13,7 @@ from catdistort.errors import (
 from catdistort.presentations import (
     BlockParams,
     GroupSpec,
+    LevelSpec,
     build_block,
     build_chain,
     build_double,
@@ -67,8 +68,29 @@ class TestBuildBlock:
 
     def test_images_pair_unique(self):
         b = build_block(BlockParams(3, 42, 14))
-        fam = np.vstack([phi.images for phi in b.levels[0].endos])
-        assert check_pair_uniqueness(fam).ok
+        assert check_pair_uniqueness(b.levels[0].images).ok
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_block(BlockParams(3, 42, 14), certify=False),
+        lambda: build_chain(3, 5, certify=False),
+        lambda: build_double(9, 27, 3, certify=False),
+    ], ids=["block-3-42-14", "chain-3-5", "double-9-27-3"])
+    def test_maps_are_views_of_the_level_family(self, build):
+        for lv in build().levels:
+            r = len(lv.domain_ids)
+            stable, base = lv.row_letters()
+            assert lv.images.shape[0] == len(lv.stable_ids) * r
+            for i, phi in enumerate(lv.endos):
+                assert np.shares_memory(phi.images, lv.images)
+                assert np.array_equal(phi.images, lv.images[i * r:(i + 1) * r])
+                assert (stable[i * r:(i + 1) * r] == lv.stable_ids[i]).all()
+                assert base[i * r:(i + 1) * r].tolist() == list(lv.domain_ids)
+
+    def test_level_needs_one_image_row_per_relator(self):
+        lv = build_block(BlockParams(2, 4, 2), certify=False).levels[0]
+        with pytest.raises(InvalidParameterError):
+            LevelSpec(lv.stable_ids, lv.domain_ids, lv.codomain_ids,
+                      lv.images[:-1], lv.dom_kind, lv.cod_kind)
 
     def test_injectivity_failure_is_fatal(self):
         # the L=2, n=4 family genuinely folds a loop away

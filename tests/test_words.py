@@ -102,14 +102,18 @@ class TestPairCensus:
         assert rep.duplicates == (((1, 2), 2),)
 
     def test_counts_match_oracle(self):
-        words = [(1, 2, 3, 1, 2), (2, 2), (3, 1)]
-        rep = check_pair_uniqueness(words)
-        oracle = _pair_census_oracle(words)
-        assert dict(rep.items()) == oracle
-        for p, c in oracle.items():
-            assert rep.count_of(p) == c
-        assert rep.count_of((3, 3)) == 0
-        assert rep.total_positions == sum(oracle.values())
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k, L, m = rng.integers(1, 8), rng.integers(1, 7), rng.integers(1, 9)
+            arr = rng.integers(1, m + 1, size=(k, L))
+            oracle = _pair_census_oracle(arr.tolist())
+            dups = tuple(sorted((p, c) for p, c in oracle.items() if c > 1))
+            rep = check_pair_uniqueness(arr)
+            assert (rep.ok, rep.duplicates, rep.total_positions,
+                    rep.distinct_pairs) == (not dups, dups,
+                                            k * (L - 1), len(oracle))
+        with pytest.raises(InvalidInputError):
+            check_pair_uniqueness([(1, 2, 3, 1, 2), (2, 2), (3, 1)])
 
     def test_no_counting_across_boundaries(self):
         # (1,2) would repeat only if the words were concatenated
