@@ -81,6 +81,8 @@ def _emit_json(doc, out: str | None):
 
 
 def _cmd_sigma(args) -> int:
+    if args.m < 2:
+        raise InvalidParameterError(f"sigma needs at least 2 letters, got {args.m}")
     al = alphabet_of(args.role, args.m)
     word = sigma(al)
     _emit(al.word_to_str(word) + "\n", args.out)
@@ -330,7 +332,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (InvalidParameterError, SpecParseError, FileNotFoundError) as e:
+    except (InvalidParameterError, SpecParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as e:

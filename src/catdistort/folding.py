@@ -453,6 +453,19 @@ def membership(graph: StallingsGraph, word: Sequence[int]) -> bool:
 # -- positive endomorphisms --------------------------------------------------
 
 
+def check_image_family(arr: np.ndarray) -> None:
+    """Raise unless ``arr`` is a nonempty rectangular family of positive
+    words with no ordered two-letter subword repeated anywhere in it."""
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise InvalidParameterError("images must form a nonempty rectangular family")
+    if arr.min() < 1:
+        raise InvalidParameterError("images must be positive words")
+    report = check_pair_uniqueness(arr)
+    if not report.ok:
+        raise PairRepetitionError(
+            f"image family repeats ordered pairs: {report.duplicates[:5]}")
+
+
 class PositiveEndomorphism:
     """A map from a rank-m free group sending the j-th generator to a
     positive word of uniform length L over the codomain alphabet.
@@ -461,23 +474,25 @@ class PositiveEndomorphism:
     default; distinct and positive, checked on first use): :meth:`apply`
     reads words over these ids and preimages come back in them.  The
     image family must be free of repeated ordered two-letter subwords
-    (checked at construction); this is what keeps folding shallow and
+    (checked at construction, or once for a level's whole family when
+    the map is a view of it); this is what keeps folding shallow and
     junction cancellation short.
     """
 
     def __init__(self, images, domain_ids: Sequence[int] | None = None):
         arr = np.asarray(images, dtype=np.int32)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidParameterError(
-                "images must form a nonempty rectangular family"
-            )
-        if arr.min() < 1:
-            raise InvalidParameterError("images must be positive words")
-        report = check_pair_uniqueness(arr)
-        if not report.ok:
-            raise PairRepetitionError(
-                f"image family repeats ordered pairs: {report.duplicates[:5]}"
-            )
+        check_image_family(arr)
+        self._bind(arr, domain_ids)
+
+    @classmethod
+    def _of_censused(cls, images: np.ndarray, domain_ids: Sequence[int]):
+        """The map on ``images``, int32 rows of a family that passed
+        :func:`check_image_family` whole: a view, not censused again."""
+        phi = cls.__new__(cls)
+        phi._bind(images, domain_ids)
+        return phi
+
+    def _bind(self, arr: np.ndarray, domain_ids: Sequence[int] | None):
         m = int(arr.shape[0])
         if domain_ids is None:
             domain_ids = tuple(range(1, m + 1))

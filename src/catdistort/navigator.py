@@ -19,7 +19,7 @@ import numpy as np
 from .distortion import DistortionCurve, Exact
 from .errors import CapExceededError, InvalidInputError
 from .folding import PositiveEndomorphism
-from .presentations import GroupSpec, retractions
+from .presentations import GroupSpec, LevelSpec, retractions
 from .words import Word, free_reduce, invert
 
 #: cap on the letters one forward pinch may produce (t u t^-1 -> phi(u))
@@ -84,13 +84,16 @@ def _merge(dst: list[int], src: Sequence[int]) -> None:
 
 
 class WordProblem:
-    """Compiled reduction machinery for one :class:`GroupSpec`."""
+    """Compiled reduction machinery for one :class:`GroupSpec`.  It keeps
+    what it reads of the spec and not the spec, which caches it, so a
+    spec is freed on its last reference without the cyclic collector."""
 
     def __init__(self, spec: GroupSpec):
-        self.spec = spec
+        self._level_specs = spec.levels
         self.levels = [_Level(lv, k) for k, lv in enumerate(spec.levels)]
         self.n_levels = len(self.levels)
         self.base_set = frozenset(spec.base_ids)
+        self.stable_set = spec.stable_id_set()
         self.n_gens = len(spec.alphabet)
         self._psi_kept = retractions(spec)[0][1]
         self._ab = None
@@ -278,7 +281,7 @@ class WordProblem:
         """Canonical residue of the exponent vector modulo the relator
         lattice: the image in the abelianization."""
         if self._ab is None:
-            self._ab = _AbelianLattice(self.spec)
+            self._ab = _AbelianLattice(self._level_specs, self.n_gens)
         vec = [0] * self.n_gens
         for x in word:
             vec[abs(x) - 1] += 1 if x > 0 else -1
@@ -288,28 +291,26 @@ class WordProblem:
         """The signed sequence of stable letters in a reduced word: by
         the normal-form theorem all reduced words for one element carry
         the same sequence, so this is a group-element invariant."""
-        stable = self.spec.stable_id_set()
-        return tuple(x for x in reduced if abs(x) in stable)
+        return tuple(x for x in reduced if abs(x) in self.stable_set)
 
 
 class _AbelianLattice:
-    """Integer echelon basis of the relator exponent lattice, with
-    canonical coset representatives."""
+    """Integer echelon basis of the levels' relator exponent lattice in
+    Z^n, with canonical coset representatives."""
 
-    def __init__(self, spec: GroupSpec):
-        n = len(spec.alphabet)
+    def __init__(self, levels: Sequence[LevelSpec], n: int):
         self.n = n
         self.basis: dict[int, list[int]] = {}
         seen = set()
-        for r in spec.relators():
-            v = [0] * n
-            v[r.base - 1] += 1
-            for y in r.image:
-                v[y - 1] -= 1
-            t = tuple(v)
-            if t not in seen:
-                seen.add(t)
-                self._insert(v)
+        for lv in levels:
+            for base, image in zip(lv.row_letters()[1].tolist(), lv.images):
+                v = [0] * n
+                v[base - 1] += 1
+                for y in image.tolist():
+                    v[y - 1] -= 1
+                if tuple(v) not in seen:
+                    seen.add(tuple(v))
+                    self._insert(v)
 
     def _insert(self, v: list[int]) -> None:
         while True:

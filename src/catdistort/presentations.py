@@ -29,13 +29,12 @@ from .errors import (
     SpecParseError,
     TooLargeError,
 )
-from .folding import PositiveEndomorphism
+from .folding import PositiveEndomorphism, check_image_family
 from .words import (
     Alphabet,
     Gen,
     PositiveWord,
     Word,
-    check_pair_uniqueness,
     chop_ids,
     invert,
     sigma_ids,
@@ -47,8 +46,8 @@ FORMAT_TAG = "catdistort/1"
 #: this edge count; larger families are certified on demand (CLI --full).
 CERTIFY_EDGE_LIMIT = 500_000
 
-#: cap on the letters a block or double allocates for its square words
-#: and image rows; admits G(289, 4913, 17), about 48.4 M letters
+#: cap on the letters a block, chain or double allocates for its square
+#: words and image rows; admits G(289, 4913, 17), about 48.4 M letters
 BUILD_LETTER_CAP = 1 << 26
 
 
@@ -101,9 +100,10 @@ class LevelSpec:
 
     ``images`` has one int32 row per relator, in relator order: stable
     letter outer, domain letter inner (:meth:`row_letters` names each
-    row's two letters).  ``endos[i]``, the map of ``stable_ids[i]``, is
-    built on the row block ``i*r .. (i+1)*r - 1`` (r = ``len(domain_ids)``)
-    as a view, so every check reads the family in place.
+    row's two letters), and is censused once, whole, at construction.
+    ``endos[i]``, the map of ``stable_ids[i]``, is built on the row block
+    ``i*r .. (i+1)*r - 1`` (r = ``len(domain_ids)``) as a view that skips
+    the census, so every check reads the family in place.
 
     ``dom_kind`` records how membership in the domain subgroup F(domain)
     of the level's base group is decided:
@@ -132,9 +132,11 @@ class LevelSpec:
         if images.ndim != 2 or images.shape[0] != len(self.stable_ids) * r:
             raise InvalidParameterError(
                 f"a level needs {len(self.stable_ids)} x {r} image rows")
+        check_image_family(images)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "endos", tuple(
-            PositiveEndomorphism(images[i * r:(i + 1) * r], self.domain_ids)
+            PositiveEndomorphism._of_censused(images[i * r:(i + 1) * r],
+                                              self.domain_ids)
             for i in range(len(self.stable_ids))))
 
     @property
@@ -184,10 +186,7 @@ class GroupSpec:
                 yield Relator(int(s), int(b), tuple(row.tolist()))
 
     def stable_id_set(self) -> frozenset[int]:
-        out = frozenset()
-        for lv in self.levels:
-            out |= frozenset(lv.stable_ids)
-        return out
+        return frozenset(g for lv in self.levels for g in lv.stable_ids)
 
     def certify_all(self, progress=None) -> list:
         """Injectivity certificates for every endomorphism of every
@@ -246,12 +245,13 @@ def _level(stable: tuple[int, ...], domain: tuple[int, ...],
            letters: tuple[int, ...], L: int, dom_kind: str,
            cod_kind: str) -> LevelSpec:
     """The level whose images chop the square-length word over
-    ``letters`` into len(stable) * len(domain) words of L letters, with
-    their pairs censused as one family."""
+    ``letters`` into len(stable) * len(domain) words of L letters.  The
+    chopped positions are shifted in place and dropped before the
+    census, so one family-sized temporary at most is alive beside it."""
     local = chop_ids(sigma_ids(len(letters)), L, len(stable) * len(domain))
-    fam = np.asarray(letters, dtype=np.int32)[local - 1]
-    if not check_pair_uniqueness(fam).ok:
-        raise ConstructionError("image family repeats an ordered pair")
+    local -= 1
+    fam = np.asarray(letters, dtype=np.int32)[local]
+    del local
     return LevelSpec(stable, domain, letters, fam, dom_kind, cod_kind)
 
 
@@ -306,6 +306,7 @@ def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
         raise TooLargeError(
             f"chain needs {total} generators, above the cap {generator_cap}"
         )
+    _check_build_letters("chain", 2 * sum(L ** (2 * k) for k in range(1, l + 1)))
     gens = [Gen("t", 1)]
     level_ids: list[tuple[int, ...]] = []
     nxt = 2

@@ -217,9 +217,10 @@ def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
 
     The family is anything :func:`numpy.asarray` makes 2-D, one word per
     row; pairs straddling rows are not counted.  The pair keys
-    ``(first - 1) * max_id + second - 1`` are built in one int64 array, a
-    column at a time, and sorted in place; the report reads off
-    neighbouring keys.  A ragged family raises :class:`InvalidInputError`.
+    ``(first - 1) * max_id + second - 1`` are built in one array, a column
+    at a time, and sorted in place; the report reads off neighbouring
+    keys: int32 while ``max_id ** 2 < 2 ** 31``, int64 above, for the
+    same report.  A ragged family raises :class:`InvalidInputError`.
     """
     try:
         arr = np.asarray(words)
@@ -230,7 +231,8 @@ def check_pair_uniqueness(words: Sequence[Sequence[int]]) -> PairReport:
     if arr.min() < 1:
         raise InvalidInputError("pair census is defined for positive words")
     mod = int(arr.max())
-    keys = np.empty((arr.shape[0], arr.shape[1] - 1), dtype=np.int64)
+    keys = np.empty((arr.shape[0], arr.shape[1] - 1),
+                    dtype=np.int32 if mod * mod < 1 << 31 else np.int64)
     keys[:] = arr[:, :-1]
     keys -= 1
     keys *= mod

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catdistort.cli import main
 
@@ -27,6 +30,12 @@ class TestSigma:
     def test_t_role(self):
         code, out = run(["sigma", "--m", "2", "--role", "t"])
         assert code == 0 and out.strip() == "t1 t1 t2 t2"
+
+    def test_negative_count_is_named(self, capsys):
+        code, _ = run(["sigma", "--m", "-5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sigma needs at least 2 letters, got -5\n")
 
 
 class TestVerify:
@@ -65,6 +74,13 @@ class TestVerify:
         code, _ = run(["verify"])
         assert code == 2
 
+    def test_report_path_is_a_directory(self, tmp_path, capsys):
+        code, _ = run(["verify", "--block", "1", "2", "2",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestBuildAndSpec:
     def test_round_trip_via_files(self, tmp_path):
@@ -85,6 +101,12 @@ class TestBuildAndSpec:
         run(["build", "--chain", "2", "2", "--out", str(p1)])
         run(["build", "--chain", "2", "2", "--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_spec_path_is_a_directory(self, tmp_path, capsys):
+        code, _ = run(["build", "--spec", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_spec_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -156,14 +178,19 @@ class TestBuildBudget:
                               capture_output=True, text=True,
                               preexec_fn=limit, timeout=120)
 
-    def assert_cap_exit(self, out):
+    def assert_cap_exit(self, out, structure="block"):
         assert out.returncode == 3 and out.stdout == ""
         assert "Traceback" not in out.stderr
-        assert out.stderr.startswith("cap exceeded: block needs ")
+        assert out.stderr.startswith(f"cap exceeded: {structure} needs ")
 
     def test_verify_block(self):
         self.assert_cap_exit(self.run_capped(
             ["verify", "--block", "100000", "1400000", "14"]))
+
+    def test_verify_chain(self):
+        # 41,371 generators, under the generator cap; 2.95e9 letters
+        self.assert_cap_exit(self.run_capped(
+            ["verify", "--chain", "4", "14"]), "chain")
 
     def test_verify_spec_document(self, tmp_path):
         doc = tmp_path / "huge.json"
@@ -270,6 +297,76 @@ class TestRemovedFlags:
         err = capsys.readouterr().err
         assert code == 2
         assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+COMMANDS = ["sigma", "build", "verify", "reduce", "ball", "distortion",
+            "witness", "export-dot"]
+FLAGS = ["--m", "--role", "--block", "--chain", "--double", "--spec",
+         "--full", "--out", "--word", "--format", "--radius", "--cap", "--n",
+         "--k", "--what", "--level", "--index", "--boundary-only"]
+#: malformed tokens, next to the few words some flags accept
+WORDS = ["", "-", "--", "--nope", "x", "1.5", "-0", "1e3", "zz", "a1 t1^-1",
+         "a", "t", "json", "text", "stallings", "link"]
+#: valid invocations on small groups, which the fuzz then edits
+SEEDS = [
+    ["sigma", "--m", "3"],
+    ["build", "--block", "1", "2", "2", "--out", "spec.json"],
+    ["verify", "--spec", "spec.json", "--out", "report.json"],
+    ["verify", "--chain", "2", "2"],
+    ["reduce", "--block", "1", "2", "2", "--word", "t1 a1 t1^-1"],
+    ["ball", "--block", "1", "2", "2", "--radius", "1"],
+    ["distortion", "--block", "1", "2", "2", "--radius", "1"],
+    ["witness", "--block", "1", "2", "2", "--n", "2"],
+    ["export-dot", "--block", "1", "2", "2", "--what", "link"],
+]
+
+
+@st.composite
+def argvs(draw):
+    """A seed invocation with up to three tokens replaced, inserted or
+    deleted; new tokens are subcommands, flags, small ints, malformed
+    words, a directory ``<dir>`` or a missing path ``<missing>``."""
+    token = st.one_of(st.sampled_from(COMMANDS + FLAGS), st.sampled_from(WORDS),
+                      st.integers(-2, 6).map(str),
+                      st.sampled_from(["<dir>", "<missing>"]))
+    argv = list(draw(st.sampled_from(SEEDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        # counted from the end, where the seeds hold their values
+        i = len(argv) - draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(token))
+        elif edit == "replace":
+            argv[i] = draw(token)
+        else:
+            del argv[i]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert run(["build", "--block", "1", "2", "2",
+                "--out", str(path / "spec.json")])[0] == 0
+    return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv):
+    """Random argv over the real subcommands and flags ends in exit 0, 1,
+    2 or 3, never an exception.  ``<dir>`` is a directory and
+    ``<missing>`` a path under a missing one; the run is in a scratch
+    directory, since ``--out x`` writes ``x``."""
+    paths = {"<dir>": str(fuzz_dir), "<missing>": str(fuzz_dir / "no" / "doc")}
+    argv = [paths.get(a, a) for a in argv]
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        code, _ = run(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv
 
 
 class TestDeterminism:

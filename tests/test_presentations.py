@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import catdistort.folding as F
 from catdistort.errors import (
     CapExceededError,
     ConstructionError,
     InvalidParameterError,
+    PairRepetitionError,
     SpecParseError,
     TooLargeError,
 )
+from catdistort.folding import PositiveEndomorphism
 from catdistort.presentations import (
     BlockParams,
     GroupSpec,
@@ -91,6 +94,16 @@ class TestBuildBlock:
         with pytest.raises(InvalidParameterError):
             LevelSpec(lv.stable_ids, lv.domain_ids, lv.codomain_ids,
                       lv.images[:-1], lv.dom_kind, lv.cod_kind)
+
+    def test_level_census_spans_row_blocks(self):
+        # rows 0 and 4 belong to different maps; each map alone is pair-unique
+        lv = build_block(BlockParams(2, 4, 2), certify=False).levels[0]
+        images = lv.images.copy()
+        images[4] = images[0]
+        PositiveEndomorphism(images[4:])
+        with pytest.raises(PairRepetitionError):
+            LevelSpec(lv.stable_ids, lv.domain_ids, lv.codomain_ids, images,
+                      lv.dom_kind, lv.cod_kind)
 
     def test_injectivity_failure_is_fatal(self):
         # the L=2, n=4 family genuinely folds a loop away
@@ -238,6 +251,44 @@ class TestSpecIO:
             spec_from_dict(doc)
 
 
+class TestOneCensusPerLevel:
+    """A level's family is censused once, whole, when its LevelSpec is
+    made; its maps are views that skip the census, and a map made from a
+    bare array keeps its own."""
+
+    @pytest.fixture
+    def censuses(self, monkeypatch):
+        shapes = []
+
+        def counting(words):
+            shapes.append(np.shape(words))
+            return check_pair_uniqueness(words)
+
+        monkeypatch.setattr(F, "check_pair_uniqueness", counting)
+        return shapes
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_block(BlockParams(3, 42, 14)),
+        lambda: build_chain(3, 5),
+        lambda: build_double(9, 27, 3),
+    ], ids=["block-3-42-14", "chain-3-5", "double-9-27-3"])
+    def test_one_census_per_level(self, censuses, build):
+        spec = build()
+        want = sorted(lv.images.shape for lv in spec.levels)
+        assert sorted(censuses) == want
+        censuses.clear()
+        assert spec_from_json(spec_to_json(spec)) == spec
+        assert sorted(censuses) == want
+
+    def test_bare_map_keeps_its_census(self, censuses):
+        lv = build_block(BlockParams(2, 4, 2), certify=False).levels[0]
+        censuses.clear()
+        PositiveEndomorphism(lv.images[:4], lv.domain_ids)
+        assert censuses == [(4, 2)]
+        with pytest.raises(PairRepetitionError):
+            PositiveEndomorphism(np.vstack([lv.images[:3], lv.images[:1]]))
+
+
 class TestFreeGroup:
     def test_shape(self):
         f = free_group(2)
@@ -247,8 +298,9 @@ class TestFreeGroup:
 
 
 class TestBuildBudget:
-    """Blocks and doubles compare the letters of their square words and
-    image rows with BUILD_LETTER_CAP before they allocate anything."""
+    """Blocks, chains and doubles compare the letters of their square
+    words and image rows with BUILD_LETTER_CAP before they allocate
+    anything."""
 
     @pytest.fixture
     def no_square_words(self, monkeypatch):
@@ -270,6 +322,15 @@ class TestBuildBudget:
     def test_over_budget_double_refused_before_allocating(self, no_square_words):
         with pytest.raises(CapExceededError):
             build_double(10_000, 1_400_000, 14)
+
+    def test_over_budget_chain_refused_before_allocating(self, no_square_words):
+        # level 3 of chain(4, 14) chops a square word of 38416^2 letters
+        with pytest.raises(CapExceededError, match="chain needs"):
+            build_chain(4, 14)
+
+    def test_paper_chains_within_budget(self, no_square_words):
+        with pytest.raises(no_square_words):
+            build_chain(3, 14, certify=False)
 
     @pytest.mark.parametrize("n,m,L", [(289, 4913, 17), (196, 2744, 14)])
     def test_ladder_doubles_within_budget(self, no_square_words, n, m, L):
