@@ -10,8 +10,10 @@ fixed invocation, human summaries go to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterable
 
 from . import presentations as P
 from . import linkgeom as LG
@@ -24,7 +26,7 @@ from .distortion import (
 )
 from .errors import CapExceededError, CatDistortError, InvalidParameterError, SpecParseError
 from .navigator import ball, britton_reduce, measure_distortion
-from .words import alphabet_of, check_pair_uniqueness, sigma
+from .words import _sigma_blocks, alphabet_of, check_pair_uniqueness
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,14 +65,15 @@ def _load_spec(args):
         return P.spec_from_json(fh.read())
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(text: str | Iterable[str], out: str | None):
+    """Write text, or its chunks in order, to the file out or to stdout;
+    stdout output always ends with a newline."""
+    last = ""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for last in [text] if isinstance(text, str) else text:
+            fh.write(last)
+        if not (out or last.endswith("\n")):
+            fh.write("\n")
 
 
 def _emit_json(doc, out: str | None):
@@ -81,11 +84,16 @@ def _emit_json(doc, out: str | None):
 
 
 def _cmd_sigma(args) -> int:
-    if args.m < 2:
-        raise InvalidParameterError(f"sigma needs at least 2 letters, got {args.m}")
-    al = alphabet_of(args.role, args.m)
-    word = sigma(al)
-    _emit(al.word_to_str(word) + "\n", args.out)
+    m = args.m
+    if m < 2:
+        raise InvalidParameterError(f"sigma needs at least 2 letters, got {m}")
+    if m * m > P.BUILD_LETTER_CAP:
+        raise CapExceededError(
+            f"sigma needs {m}^2 letters, above the cap {P.BUILD_LETTER_CAP}")
+    al = alphabet_of(args.role, m)
+    # a block at a time: the word is m^2 letters, its blocks at most 2m
+    _emit((al.word_to_str(blk.tolist()) + (" " if i < m - 1 else "\n")
+           for i, blk in enumerate(_sigma_blocks(m))), args.out)
     return EXIT_OK
 
 
@@ -123,13 +131,11 @@ def _verify_report(spec, full: bool) -> dict:
         except P.ConstructionError as e:
             add("injectivity", "failed", witness=str(e))
 
-    # link condition; the chain gluing check girth-checks the same union link
+    # link condition; a chain's gluing check girth-checks the union link,
+    # and runs first, so that its link is freed before this one is built
+    glue = LG.check_chain_gluing(spec) if spec.structure == "chain" else None
     link = LG.build_link(spec)
-    if spec.structure == "chain":
-        glue = LG.check_chain_gluing(spec)
-        girth = glue.union_girth
-    else:
-        girth = LG.check_large_link(link)
+    girth = glue.union_girth if glue else LG.check_large_link(link)
     add("large-link", "ok" if girth.ok else "failed", **girth.to_dict())
 
     # separation of the distinguished convex rose
@@ -139,7 +145,7 @@ def _verify_report(spec, full: bool) -> dict:
     sep = LG.check_separation(link, ids)
     add("separation", "ok" if sep.ok else "failed", **sep.to_dict())
 
-    if spec.structure == "chain":
+    if glue:
         add("chain-gluing", "ok" if glue.ok else "failed",
             levels=[{"level": k, **r.to_dict()} for k, r in glue.levels])
 

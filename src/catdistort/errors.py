@@ -31,10 +31,6 @@ class ConstructionError(CatDistortError):
     Should not happen for valid parameters; treated as a fatal diagnostic."""
 
 
-class TooLargeError(InvalidParameterError):
-    """A requested construction exceeds the configured size cap."""
-
-
 class CapExceededError(CatDistortError):
     """An enumeration hit its element cap.  Carries the partial result."""
 

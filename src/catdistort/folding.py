@@ -37,6 +37,8 @@ from .errors import (
 )
 from .words import Word, check_pair_uniqueness, free_reduce, invert
 
+_NO_HOPS: dict = {}  # the moves of a letter no edge reads; never filled
+
 
 class StallingsGraph:
     """Based, directed, edge-labeled graph that remembers the rose it
@@ -61,8 +63,7 @@ class StallingsGraph:
         self.folded = folded
         self._edges: tuple | None = None
         self._words: list[Word] | None = None
-        self._out: dict[tuple[int, int], tuple[int, int]] | None = None
-        self._in: dict[tuple[int, int], tuple[int, int]] | None = None
+        self._hops: dict[int, dict[int, int]] | None = None
         self._paths: dict[int, Word] | None = None
 
     @property
@@ -107,37 +108,40 @@ class StallingsGraph:
         starts = self.petal_start
         return starts[:-1] + np.minimum(1, np.diff(starts) - 1)
 
-    def _tables(self):
-        if self._out is None:
-            out: dict[tuple[int, int], tuple[int, int]] = {}
-            inc: dict[tuple[int, int], tuple[int, int]] = {}
-            for idx, (u, v, lab) in enumerate(zip(self.src.tolist(),
-                                                  self.dst.tolist(),
-                                                  self.label.tolist())):
-                if self.folded and ((u, lab) in out or (v, lab) in inc):
-                    raise InvalidInputError("graph marked folded but has a fold pair")
-                out[(u, lab)] = (v, idx)
-                inc[(v, lab)] = (u, idx)
-            self._out, self._in = out, inc
-        return self._out, self._in
+    def _hop_table(self) -> dict[int, dict[int, int]]:
+        """{signed letter x: {vertex: where reading x from it leads}}, with
+        x < 0 crossing an edge labelled -x backwards; one int per vertex."""
+        if self._hops is None:
+            order = np.argsort(self.label, kind="stable")
+            labels, cuts = np.unique(self.label[order], return_index=True)
+            cuts = np.append(cuts, order.size).tolist()
+            at = list(range(self.n_vertices)).__getitem__
+            src, dst = (list(map(at, a[order].tolist())) for a in (self.src, self.dst))
+            spans = list(zip(labels.tolist(), cuts, cuts[1:]))
+            hops = {lab: dict(zip(src[a:b], dst[a:b])) for lab, a, b in spans}
+            hops.update((-lab, dict(zip(dst[a:b], src[a:b]))) for lab, a, b in spans)
+            if self.folded and sum(map(len, hops.values())) < 2 * len(src):
+                raise InvalidInputError("graph marked folded but has a fold pair")
+            self._hops = hops
+        return self._hops
 
     def _walk(self, word: Sequence[int], v: int) -> tuple[int, int]:
         """Read ``word`` from vertex v as far as it goes: the vertex
         reached and the number of letters read."""
-        out, inc = self._tables()
+        hops = self._hop_table()
         for i, x in enumerate(word):
-            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
-            if hop is None:
+            w = hops.get(x, _NO_HOPS).get(v)
+            if w is None:
                 return v, i
-            v = hop[0]
+            v = w
         return v, len(word)
 
-    def trace(self, word: Sequence[int], start: int | None = None) -> int | None:
-        """Endpoint of the path spelling ``word`` from ``start``, or None
+    def trace(self, word: Sequence[int]) -> int | None:
+        """Endpoint of the path spelling ``word`` from the base, or None
         if some letter cannot be read.  Requires a folded graph."""
         if not self.folded:
             raise InvalidInputError("trace requires a folded graph")
-        v, n = self._walk(word, self.base if start is None else start)
+        v, n = self._walk(word, self.base)
         return v if n == len(word) else None
 
     def is_connected(self) -> bool:
@@ -165,12 +169,10 @@ class StallingsGraph:
         order the search meets the vertices.  Canonical for a folded
         graph, which is a deterministic automaton."""
         if self._paths is None:
-            out, inc = self._tables()
             steps: dict[int, list[tuple[int, int, int]]] = {}
-            for (v, lab), (w, _) in out.items():
-                steps.setdefault(v, []).append((lab, 1, w))
-            for (v, lab), (w, _) in inc.items():
-                steps.setdefault(v, []).append((lab, -1, w))
+            for x, moves in self._hop_table().items():
+                for v, w in moves.items():
+                    steps.setdefault(v, []).append((abs(x), 1 if x > 0 else -1, w))
             paths = {self.base: ()}
             queue = [self.base]
             for v in queue:
@@ -504,7 +506,7 @@ class PositiveEndomorphism:
         self.domain_ids = domain_ids  # shared with the level, not copied
         self._image_cache: dict[int, Word] | None = None
         self._graph: StallingsGraph | None = None
-        self._words_cache: tuple[list[Word], list[Word]] | None = None
+        self._pieces: dict[tuple[int, int], Word] | None = None
         self._certificate: InjectivityCertificate | None = None
 
     def _image_of(self) -> dict[int, Word]:
@@ -605,23 +607,22 @@ class PositiveEndomorphism:
         if not w:
             return ()
         graph = self.graph
-        out, inc = graph._tables()
-        if self._words_cache is None:
-            dom = self.domain_ids
-            words = [tuple(dom[y - 1] if y > 0 else -dom[-y - 1] for y in pw)
-                     for pw in graph.petal_words()]
-            self._words_cache = (words, [invert(x) for x in words])
-        fwd, bwd = self._words_cache
+        hops = graph._hop_table()
+        if self._pieces is None:  # (signed letter, vertex) -> nonempty petal word
+            dom, words, pieces = self.domain_ids, graph.petal_words(), {}
+            for e in (e for e, pw in enumerate(words) if pw):
+                piece = tuple(dom[y - 1] if y > 0 else -dom[-y - 1] for y in words[e])
+                u, v, lab = int(graph.src[e]), int(graph.dst[e]), int(graph.label[e])
+                pieces[lab, u], pieces[-lab, v] = piece, invert(piece)
+            self._pieces = pieces
+        pieces = self._pieces
         read: list[int] = []
         v = graph.base
         for x in w:
-            hop = out.get((v, x)) if x > 0 else inc.get((v, -x))
-            if hop is None:
+            u, v = v, hops.get(x, _NO_HOPS).get(v)
+            if v is None:
                 return None
-            v, e = hop
-            piece = fwd[e] if x > 0 else bwd[e]
-            if piece:
-                read += piece
+            read += pieces.get((x, u), ())
         if v != graph.base:
             return None
         read = free_reduce(read)

@@ -27,7 +27,6 @@ from .errors import (
     ConstructionError,
     InvalidParameterError,
     SpecParseError,
-    TooLargeError,
 )
 from .folding import PositiveEndomorphism, check_image_family
 from .words import (
@@ -53,11 +52,13 @@ BUILD_LETTER_CAP = 1 << 26
 
 def _check_build_letters(structure: str, n_letters: int) -> None:
     """Raise :class:`CapExceededError` before a construction allocates
-    more than :data:`BUILD_LETTER_CAP` letters."""
+    more than :data:`BUILD_LETTER_CAP` letters.  A count of 2^62 letters
+    or more is reported as such, never printed in full."""
     if n_letters > BUILD_LETTER_CAP:
         raise CapExceededError(
-            f"{structure} needs {n_letters} letters of square words and "
-            f"images, above the cap {BUILD_LETTER_CAP}")
+            f"{structure} needs "
+            f"{n_letters if n_letters < 1 << 62 else 'over 2^62'} letters of "
+            f"square words and images, above the cap {BUILD_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -288,8 +289,7 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
     return _maybe_certify(spec, certify)
 
 
-def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
-                certify: bool | None = None) -> GroupSpec:
+def build_chain(l: int, L: int = 14, certify: bool | None = None) -> GroupSpec:
     """The chain presentation on t, a^(1), ..., a^(l).
 
     Level k (0-based) conjugates the rank-L^(k+1) letters a^(k+1) by the
@@ -301,12 +301,9 @@ def build_chain(l: int, L: int = 14, generator_cap: int = 200_000,
         raise InvalidParameterError("chain needs at least one level")
     if L < 2:
         raise InvalidParameterError("image length L must be at least 2")
-    total = 1 + sum(L ** k for k in range(1, l + 1))
-    if total > generator_cap:
-        raise TooLargeError(
-            f"chain needs {total} generators, above the cap {generator_cap}"
-        )
-    _check_build_letters("chain", 2 * sum(L ** (2 * k) for k in range(1, l + 1)))
+    # level 31 alone needs 2 L^62 >= 2^63 letters, so the sum stops there
+    _check_build_letters(
+        "chain", 2 * sum(L ** (2 * k) for k in range(1, min(l, 31) + 1)))
     gens = [Gen("t", 1)]
     level_ids: list[tuple[int, ...]] = []
     nxt = 2
@@ -391,11 +388,10 @@ def retractions(spec: GroupSpec) -> list[tuple[str, frozenset[int]]]:
         return [("onto-stable-rose", frozenset(spec.levels[0].stable_ids))]
     if spec.structure == "chain":
         out = []
-        kept: set[int] = {1}  # t
+        kept: set[int] = set()  # t, then a^(1), ..., a^(k)
         for k, lv in enumerate(spec.levels):
+            kept |= set(lv.stable_ids)
             out.append((f"kill-below-{k}", frozenset(kept)))
-            kept |= set(lv.domain_ids) if k == len(spec.levels) - 1 else set(
-                spec.levels[k + 1].stable_ids)
         return out
     if spec.structure == "double":
         return [("onto-s", frozenset(spec.levels[0].stable_ids))]

@@ -165,20 +165,24 @@ def is_positive(word: Sequence[int]) -> bool:
 # -- the square-length word with unique two-letter subwords ---------------
 
 
-def sigma_ids(m: int) -> np.ndarray:
-    """Letter ids (1..m) of the length-m**2 word; see :func:`sigma`."""
+def _sigma_blocks(m: int) -> Iterator[np.ndarray]:
+    """The m blocks of the length-m**2 word, as letter ids (1..m); see
+    :func:`sigma`."""
     if m < 2:
         raise InvalidParameterError(f"sigma needs at least 2 letters, got {m}")
-    blocks = []
     for i in range(1, m):
         # block i: the letter i, then the pairs (i, i+1), (i, i+2), ..., (i, m)
         blk = np.empty(2 * (m - i) + 1, dtype=np.int32)
         blk[0] = i
         blk[1::2] = i
         blk[2::2] = np.arange(i + 1, m + 1, dtype=np.int32)
-        blocks.append(blk)
-    blocks.append(np.array([m], dtype=np.int32))
-    return np.concatenate(blocks)
+        yield blk
+    yield np.array([m], dtype=np.int32)
+
+
+def sigma_ids(m: int) -> np.ndarray:
+    """Letter ids (1..m) of the length-m**2 word; see :func:`sigma`."""
+    return np.concatenate(list(_sigma_blocks(m)))
 
 
 def sigma(alphabet: Alphabet) -> PositiveWord:

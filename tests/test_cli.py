@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -164,9 +165,10 @@ class TestReduce:
 
 class TestBuildBudget:
     """A block of 1.96e12 square-word letters exits 3 before it allocates,
-    from the command line and from a spec document alike.  The child's
-    address space is capped so that a missing budget fails the test
-    instead of exhausting memory."""
+    from the command line and from a spec document alike, and so do
+    oversize chains and sigma words.  The child's address space is
+    capped so that a missing budget fails the test instead of exhausting
+    memory."""
 
     def run_capped(self, args):
         import resource
@@ -188,9 +190,19 @@ class TestBuildBudget:
             ["verify", "--block", "100000", "1400000", "14"]))
 
     def test_verify_chain(self):
-        # 41,371 generators, under the generator cap; 2.95e9 letters
+        # 41,371 generators; 2.95e9 letters
         self.assert_cap_exit(self.run_capped(
             ["verify", "--chain", "4", "14"]), "chain")
+
+    def test_verify_deep_chain(self):
+        # the letter count has far more than 4,300 digits
+        self.assert_cap_exit(self.run_capped(
+            ["verify", "--chain", "10000", "14"]), "chain")
+
+    def test_sigma(self):
+        # 10^8 letters; the largest word emitted is 8192^2 = 2^26 letters
+        self.assert_cap_exit(self.run_capped(
+            ["sigma", "--m", "10000"]), "sigma")
 
     def test_verify_spec_document(self, tmp_path):
         doc = tmp_path / "huge.json"
@@ -424,6 +436,29 @@ class TestGoldenBytes:
         out = tmp_path / name
         run(args + ["--out", str(out)])
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.ladder
+def test_paper_chain_verify_peak(tmp_path):
+    """``verify --chain 3 14 --full`` in a child: the same report bytes,
+    with one link alive at a time (about 755 MB; two links made 1,167 MB).
+    A fresh probe process runs the child and reads its peak, so that no
+    earlier child of the test process counts.  Opt-in (``pytest -m
+    ladder``): about 5 s."""
+    probe = ("import resource, subprocess, sys\n"
+             "code = subprocess.run([sys.executable, '-m', 'catdistort.cli']"
+             " + sys.argv[1:]).returncode\n"
+             "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    rpt = tmp_path / "report.json"
+    out = subprocess.run([sys.executable, "-c", probe, "verify", "--chain",
+                          "3", "14", "--full", "--out", str(rpt)],
+                         capture_output=True, text=True, timeout=600)
+    code, peak_kb = map(int, out.stdout.split()[-2:])
+    peak_mb = peak_kb / 1024
+    assert code == 0, out.stderr
+    assert hashlib.md5(rpt.read_bytes()).hexdigest() == \
+        "5775782a0a2952589d2d66f8d28c46f2"
+    assert peak_mb < 900
 
 
 @pytest.mark.ladder

@@ -10,7 +10,6 @@ from catdistort.linkgeom import (
     GirthReport,
     LinkGraph,
     SeparationReport,
-    build_level_link,
     build_link,
     check_cell_contract,
     check_chain_gluing,
@@ -22,6 +21,7 @@ from catdistort.linkgeom import (
 )
 from catdistort.presentations import (
     BlockParams,
+    GroupSpec,
     Relator,
     build_block,
     build_chain,
@@ -32,6 +32,25 @@ from catdistort.presentations import (
 
 def one_cell_relator(L, stable=100, base=1):
     return Relator(stable, base, tuple(range(1, L + 1)))
+
+
+def level_link(chain, k):
+    """Oracle for gluing step k: the link of level k's cells alone, built
+    from a one-level spec.  Its attachment rose is "stable-0"."""
+    return build_link(GroupSpec(chain.structure, chain.params, chain.alphabet,
+                                [chain.levels[k]], chain.base_ids,
+                                chain.convex_ids))
+
+
+def level_block(chain, k):
+    """Level k's row block of the chain's union link, as a link of its
+    own whose attachment rose is "stable-0"."""
+    link = build_link(chain)
+    cells = np.cumsum([0] + [lv.images.shape[0] for lv in chain.levels])
+    cut = link.n_edges // cells[-1] * cells
+    return LinkGraph(link.n_gens, link.edges[cut[k]:cut[k + 1]],
+                     link.chord_base, {"stable-0": link.marked[f"stable-{k}"]},
+                     link.alphabet)
 
 
 class TestLadderScheme:
@@ -344,7 +363,7 @@ class TestSeparationOracle:
             assert dst[indptr[v]:indptr[v + 1]].tolist() == rows.get(v, [])
 
     def test_paper_chain_level_link(self):
-        lk = build_level_link(build_chain(2, 14, certify=False), 1)
+        lk = level_block(build_chain(2, 14, certify=False), 1)
         marked = lk.marked["stable-0"]
         rep = check_separation(lk, marked)
         assert rep == _separation_reference(lk, marked)
@@ -551,7 +570,7 @@ class TestGirthOracle:
     @pytest.mark.parametrize("make", [
         lambda: build_link(build_block(BlockParams(2, 28, 14))),
         lambda: build_link(build_chain(2, 14, certify=False)),
-        lambda: build_level_link(build_chain(2, 14, certify=False), 1),
+        lambda: level_block(build_chain(2, 14, certify=False), 1),
     ], ids=["block_2_28_14", "chain_2_14_union", "chain_2_14_level_1"])
     def test_built_links(self, make):
         link = make()
@@ -612,5 +631,57 @@ class TestChainGluing:
 
     def test_level_link_marks_attachment(self):
         c = build_chain(2, 14)
-        lk = build_level_link(c, 1)
+        lk = level_link(c, 1)
         assert len(lk.marked["stable-0"]) == 2 * 14
+        assert np.array_equal(lk.marked["stable-0"],
+                              build_link(c).marked["stable-1"])
+
+
+CHAINS = [(2, 5), (2, 8), (2, 14), (2, 2), (3, 5)]
+
+
+class TestGluingOracle:
+    """check_chain_gluing reads one union link: each gluing step runs on
+    a view of its level's row block, and reports what the level's own
+    link would."""
+
+    @pytest.mark.parametrize("l,L", CHAINS)
+    def test_levels_match_level_links(self, l, L):
+        chain = build_chain(l, L, certify=False)
+        want = []
+        for k in range(1, l):
+            lk = level_link(chain, k)
+            want.append((k, check_separation(lk, lk.marked["stable-0"])))
+        rep = check_chain_gluing(chain)
+        assert rep.levels == tuple(want)
+        assert rep.union_girth == check_large_link(build_link(chain))
+
+    def test_failing_witnesses_compared(self):
+        # chain(2, 5) fails its gluing step, so its witness pair is pinned
+        _, sep = check_chain_gluing(build_chain(2, 5, certify=False)).levels[0]
+        assert not sep.ok and sep.witness_pair is not None
+
+    @pytest.mark.parametrize("l,L", CHAINS)
+    def test_block_is_level_link_with_shifted_chords(self, l, L):
+        chain = build_chain(l, L, certify=False)
+        for k in range(1, l):
+            block, lk = level_block(chain, k), level_link(chain, k)
+            assert block.n_edges == lk.n_edges
+            chords = block.edges >= block.chord_base
+            shift = np.unique(block.edges[chords] - lk.edges[chords])
+            assert shift.size <= 1
+            assert np.array_equal(block.edges[~chords], lk.edges[~chords])
+
+    def test_one_link_per_check(self, monkeypatch):
+        import catdistort.linkgeom as LG
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return build_link(spec)
+
+        monkeypatch.setattr(LG, "build_link", counting)
+        chain = build_chain(3, 5, certify=False)
+        check_chain_gluing(chain)
+        assert len(calls) == 1 and calls[0] is chain

@@ -75,3 +75,16 @@ def test_build_link_peak_below_one_and_a_half_edge_arrays():
     spec = build_chain(2, 14, certify=False)
     link, peak = _peak(build_link, spec)
     assert peak < 1.5 * link.edges.nbytes
+
+
+def test_preimage_tables_below_two_hundred_bytes_per_edge():
+    # a map's hop table and petal pieces are built by its first preimage
+    # and kept for its lifetime; a word-problem run builds them for a
+    # paper t-map only when its words first pinch back through that map,
+    # so their size is a step in the run's peak memory
+    phi = build_double(196, 2744, 14, certify=False).levels[1].endos[36]
+    phi.graph.petal_words()
+    w = phi.apply((1, -2, 3))
+    read, peak = _peak(phi.try_preimage, w)
+    assert read == (1, -2, 3)
+    assert peak < 200 * phi.graph.n_edges

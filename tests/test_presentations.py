@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from catdistort.errors import (
     InvalidParameterError,
     PairRepetitionError,
     SpecParseError,
-    TooLargeError,
 )
 from catdistort.folding import PositiveEndomorphism
 from catdistort.presentations import (
@@ -149,8 +149,8 @@ class TestBuildChain:
                 assert set(int(x) for x in phi.images.ravel()) <= dom
 
     def test_cap(self):
-        with pytest.raises(TooLargeError):
-            build_chain(6, 14, generator_cap=10_000)
+        with pytest.raises(CapExceededError):
+            build_chain(6, 14)
 
     def test_l0_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -327,6 +327,14 @@ class TestBuildBudget:
         # level 3 of chain(4, 14) chops a square word of 38416^2 letters
         with pytest.raises(CapExceededError, match="chain needs"):
             build_chain(4, 14)
+
+    def test_deep_chain_refused_in_bounded_time(self, no_square_words):
+        # the letters are summed over at most 31 levels, never printed whole
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError) as err:
+            build_chain(10 ** 6, 14)
+        assert time.perf_counter() - t0 < 1
+        assert len(str(err.value)) < 200
 
     def test_paper_chains_within_budget(self, no_square_words):
         with pytest.raises(no_square_words):
