@@ -24,7 +24,8 @@ from .distortion import (
     witness_chain,
     witness_tower,
 )
-from .errors import CapExceededError, CatDistortError, InvalidParameterError, SpecParseError
+from .errors import (CapExceededError, CatDistortError, InvalidInputError,
+                     InvalidParameterError, SpecParseError)
 from .navigator import ball, britton_reduce, measure_distortion
 from .words import _sigma_blocks, alphabet_of, check_pair_uniqueness
 
@@ -131,10 +132,9 @@ def _verify_report(spec, full: bool) -> dict:
         except P.ConstructionError as e:
             add("injectivity", "failed", witness=str(e))
 
-    # link condition; a chain's gluing check girth-checks the union link,
-    # and runs first, so that its link is freed before this one is built
-    glue = LG.check_chain_gluing(spec) if spec.structure == "chain" else None
+    # link condition: one link, read by every link check
     link = LG.build_link(spec)
+    glue = LG.check_chain_gluing(spec, link) if spec.structure == "chain" else None
     girth = glue.union_girth if glue else LG.check_large_link(link)
     add("large-link", "ok" if girth.ok else "failed", **girth.to_dict())
 
@@ -338,7 +338,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (InvalidParameterError, SpecParseError, OSError) as e:
+    except (InvalidParameterError, InvalidInputError, SpecParseError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as e:

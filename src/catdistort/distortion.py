@@ -441,12 +441,10 @@ def witness_tower(k: int, L: int = 14,
     word = (t, a, -t)
     stages = [word]
     h: LengthExpr = Exact(L)
-    hs = [h]
     for _ in range(1, k):
         word = (s,) + word + (-s, a, s) + invert(word) + (-s,)
         stages.append(word)
         h = Tower(L, L, h)
-        hs.append(h)
     bound = tower_geodesic_bounds(k)[-1]
     return Witness("tower", word, alphabet, len(word), bound,
                    normalize(h), stages=tuple(stages))

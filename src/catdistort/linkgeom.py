@@ -309,30 +309,18 @@ class LinkGraph:
         """Build a small link from edges between hashable direction names;
         names of the form ("d", gen, tag) map to boundary ids, everything
         else to interior ids.  Meant for tests and engineered examples."""
-        name_to_id: dict = {}
-        max_gen = n_gens
-        rows = []
-        pending = []
-        for a, b in edges:
-            pending.append((a, b))
-            for d in (a, b):
-                if isinstance(d, tuple) and len(d) == 3 and d[0] == "d":
-                    max_gen = max(max_gen, d[1])
+        edges = [(a, b) for a, b in edges]
+
+        def is_dir(d):
+            return isinstance(d, tuple) and len(d) == 3 and d[0] == "d"
+
+        max_gen = max([n_gens] + [d[1] for e in edges for d in e if is_dir(d)])
         chord_base = 2 * max_gen
-        nxt = chord_base
-        for a, b in pending:
-            pair = []
-            for d in (a, b):
-                if isinstance(d, tuple) and len(d) == 3 and d[0] == "d":
-                    pair.append(2 * (d[1] - 1) + d[2])
-                else:
-                    if d not in name_to_id:
-                        name_to_id[d] = nxt
-                        nxt += 1
-                    pair.append(name_to_id[d])
-            rows.append(pair)
-        arr = np.asarray(rows, dtype=np.int64) if rows else np.empty((0, 2), np.int64)
-        return LinkGraph(max_gen, arr, chord_base)
+        interior: dict = {}  # name -> id, numbered in order of appearance
+        rows = [[2 * (d[1] - 1) + d[2] if is_dir(d)
+                 else interior.setdefault(d, chord_base + len(interior))
+                 for d in e] for e in edges]
+        return LinkGraph(max_gen, rows, chord_base)
 
     def to_dot(self, boundary_only: bool = False) -> str:
         lines = ["graph link {"]
@@ -386,14 +374,16 @@ def build_link(spec: GroupSpec) -> LinkGraph:
             edges[row:row + ncells, 0] = col(a)
             edges[row:row + ncells, 1] = col(b)
             row += ncells
-    marked = {}
-    for k, lv in enumerate(spec.levels):
-        ids = []
-        for g in lv.stable_ids:
-            ids += [2 * (g - 1), 2 * (g - 1) + 1]
-        marked[f"stable-{k}"] = np.asarray(ids, dtype=np.int64)
-    return LinkGraph(G, edges, chord_base, marked, spec.alphabet,
+    return LinkGraph(G, edges, chord_base, _stable_marks(spec), spec.alphabet,
                      n_chords_per_cell=nc)
+
+
+def _stable_marks(spec: GroupSpec) -> dict:
+    """Marked subsets of a spec's link: level k's stable-letter
+    directions g+ and g- as "stable-k"."""
+    return {f"stable-{k}": np.asarray([2 * (g - 1) + tag for g in lv.stable_ids
+                                       for tag in (0, 1)], dtype=np.int64)
+            for k, lv in enumerate(spec.levels)}
 
 
 # -- checks -------------------------------------------------------------------
@@ -660,23 +650,31 @@ def check_separation(link: LinkGraph, marked: Sequence[int]) -> SeparationReport
 @dataclass(frozen=True)
 class GluingReport:
     """Inductive chain check: each attachment rose 2*pi-separated in the
-    link of the newly glued block alone (a row block of the union link),
-    plus a direct girth check of the union link."""
+    link of the newly glued block alone (a row block of the union link,
+    the one a verify builds), plus a direct girth check of that link."""
 
     ok: bool
     levels: tuple[tuple[int, SeparationReport], ...]
     union_girth: GirthReport
 
 
-def check_chain_gluing(chain: GroupSpec) -> GluingReport:
-    """One union link, filled level by level: gluing step k reads level
-    k's corners, rows ``[cut[k], cut[k+1])``, as the block's own link
-    with chord ids shifted, which no witness (a marked direction) sees."""
+def check_chain_gluing(chain: GroupSpec, link: LinkGraph | None = None) -> GluingReport:
+    """Gluing step k reads level k's rows ``[cut[k], cut[k+1])`` of the
+    union link ``link`` (``build_link(chain)``, built here when not given;
+    every cell fills the same number of rows), as the block's own link
+    with chord ids shifted, which no witness (a marked direction) sees.
+    A link whose generators, edges per cell or stable marks are not the
+    chain's raises InvalidInputError."""
     if chain.structure != "chain":
         raise InvalidInputError("gluing check applies to chain presentations")
-    link = build_link(chain)
-    corners = len(ladder_corner_templates(chain.levels[0].image_length)[0])
-    cut = corners * np.cumsum([0] + [lv.images.shape[0] for lv in chain.levels])
+    cells = np.cumsum([0] + [lv.images.shape[0] for lv in chain.levels])
+    if link is None:
+        link = build_link(chain)
+    elif (link.n_gens != len(chain.alphabet) or link.n_edges % cells[-1]
+          or {k: np.asarray(v).tolist() for k, v in link.marked.items()}
+          != {k: v.tolist() for k, v in _stable_marks(chain).items()}):
+        raise InvalidInputError("the link is not this chain's link")
+    cut = link.n_edges // cells[-1] * cells
     per_level = []
     # level 0 is the base case (one block, nothing glued); gluing step k
     # attaches the level-k block along its stable letters.

@@ -498,19 +498,22 @@ def spec_from_dict(doc: dict) -> GroupSpec:
             f"unknown structure {structure!r}", "structure")
     params = doc.get("params")
     _expect(isinstance(params, dict), "params missing", "params")
+    names = ("l", "L") if structure == "chain" else ("n", "m", "L")
+    for key in names:
+        _expect(key in params, f"missing parameter {key!r}", "params")
+        # JSON integers only; bool is an int subclass, and int() would
+        # take 1.5, "14" and fail on null or Infinity
+        _expect(type(params[key]) is int,
+                f"parameter {key!r} is not an integer: {params[key]!r}",
+                f"params.{key}")
+    args = [params[key] for key in names]
     try:
         if structure == "block":
-            rebuilt = build_block(
-                BlockParams(int(params["n"]), int(params["m"]),
-                            int(params["L"])), certify=False)
+            rebuilt = build_block(BlockParams(*args), certify=False)
         elif structure == "chain":
-            rebuilt = build_chain(int(params["l"]), int(params["L"]),
-                                  certify=False)
+            rebuilt = build_chain(*args, certify=False)
         else:
-            rebuilt = build_double(int(params["n"]), int(params["m"]),
-                                   int(params["L"]), certify=False)
-    except KeyError as e:
-        raise SpecParseError(f"missing parameter {e}", "params")
+            rebuilt = build_double(*args, certify=False)
     except InvalidParameterError as e:
         raise SpecParseError(f"invalid parameters: {e}", "params")
     want = spec_to_dict(rebuilt)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,13 +15,23 @@ from catdistort.cli import main
 
 
 def run(args):
-    import contextlib
-    import io
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(args)
     return code, out.getvalue()
+
+
+def run_capped(args):
+    """Run the CLI in a child whose address space is capped, so that a
+    missing budget fails the test instead of exhausting memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    return subprocess.run([sys.executable, "-m", "catdistort.cli"] + args,
+                          capture_output=True, text=True,
+                          preexec_fn=limit, timeout=120)
 
 
 class TestSigma:
@@ -75,6 +87,25 @@ class TestVerify:
         code, _ = run(["verify"])
         assert code == 2
 
+    @pytest.mark.parametrize("group", [["--block", "1", "14", "14"],
+                                       ["--chain", "2", "5"],
+                                       ["--chain", "2", "14"],
+                                       ["--double", "25", "125", "5"]])
+    def test_one_link_per_verify(self, monkeypatch, group):
+        # every link check, the chain-gluing check included, reads one link
+        import catdistort.linkgeom as LG
+
+        calls = []
+        build = LG.build_link
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(LG, "build_link", counting)
+        code, _ = run(["verify", *group, "--full"])
+        assert code in (0, 1) and len(calls) == 1
+
     def test_report_path_is_a_directory(self, tmp_path, capsys):
         code, _ = run(["verify", "--block", "1", "2", "2",
                        "--out", str(tmp_path)])
@@ -109,6 +140,16 @@ class TestBuildAndSpec:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ['"abc"', "null", "Infinity", "1.5"])
+    def test_non_integer_parameter(self, tmp_path, capsys, value):
+        spec = tmp_path / "spec.json"
+        assert run(["build", "--block", "1", "2", "2", "--out", str(spec)])[0] == 0
+        spec.write_text(spec.read_text().replace('"n":1', f'"n":{value}'))
+        code, _ = run(["verify", "--spec", str(spec)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: parameter 'n' is not an integer")
+
     def test_bad_spec_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{}")
@@ -140,24 +181,13 @@ class TestReduce:
 
     def test_bad_token(self):
         code, _ = run(["reduce", "--block", "1", "2", "2", "--word", "zz"])
-        assert code == 1  # invalid input inside a valid invocation
+        assert code == 2  # what the user typed: a usage error, not a failed check
 
     def test_expansion_over_budget_exits_cap(self):
         # t^30 a t^-30 would expand to 14^30 letters; the letter budget
         # stops the sixth forward pinch (14^6 letters) before it expands.
-        # The child's address space is capped so that a missing budget
-        # fails the test instead of exhausting memory.
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-
         word = " ".join(["t1"] * 30 + ["a1"] + ["t1^-1"] * 30)
-        out = subprocess.run([sys.executable, "-m", "catdistort.cli",
-                              "reduce", "--block", "1", "14", "14",
-                              "--word", word],
-                             capture_output=True, text=True,
-                             preexec_fn=limit, timeout=120)
+        out = run_capped(["reduce", "--block", "1", "14", "14", "--word", word])
         assert out.returncode == 3 and out.stdout == ""
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("cap exceeded: ")
@@ -166,19 +196,7 @@ class TestReduce:
 class TestBuildBudget:
     """A block of 1.96e12 square-word letters exits 3 before it allocates,
     from the command line and from a spec document alike, and so do
-    oversize chains and sigma words.  The child's address space is
-    capped so that a missing budget fails the test instead of exhausting
-    memory."""
-
-    def run_capped(self, args):
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-
-        return subprocess.run([sys.executable, "-m", "catdistort.cli"] + args,
-                              capture_output=True, text=True,
-                              preexec_fn=limit, timeout=120)
+    oversize chains and sigma words, in a capped child (``run_capped``)."""
 
     def assert_cap_exit(self, out, structure="block"):
         assert out.returncode == 3 and out.stdout == ""
@@ -186,22 +204,22 @@ class TestBuildBudget:
         assert out.stderr.startswith(f"cap exceeded: {structure} needs ")
 
     def test_verify_block(self):
-        self.assert_cap_exit(self.run_capped(
+        self.assert_cap_exit(run_capped(
             ["verify", "--block", "100000", "1400000", "14"]))
 
     def test_verify_chain(self):
         # 41,371 generators; 2.95e9 letters
-        self.assert_cap_exit(self.run_capped(
+        self.assert_cap_exit(run_capped(
             ["verify", "--chain", "4", "14"]), "chain")
 
     def test_verify_deep_chain(self):
         # the letter count has far more than 4,300 digits
-        self.assert_cap_exit(self.run_capped(
+        self.assert_cap_exit(run_capped(
             ["verify", "--chain", "10000", "14"]), "chain")
 
     def test_sigma(self):
         # 10^8 letters; the largest word emitted is 8192^2 = 2^26 letters
-        self.assert_cap_exit(self.run_capped(
+        self.assert_cap_exit(run_capped(
             ["sigma", "--m", "10000"]), "sigma")
 
     def test_verify_spec_document(self, tmp_path):
@@ -210,7 +228,7 @@ class TestBuildBudget:
             "format": "catdistort/1", "structure": "block",
             "params": {"n": 100000, "m": 1400000, "L": 14},
             "generators": [], "levels": [], "distinguished": {}}))
-        self.assert_cap_exit(self.run_capped(["verify", "--spec", str(doc)]))
+        self.assert_cap_exit(run_capped(["verify", "--spec", str(doc)]))
 
 
 class TestBall:
@@ -219,6 +237,11 @@ class TestBall:
         assert code == 0
         doc = json.loads(out)
         assert doc["sizes"] == [1, 7, 37]
+
+    def test_negative_radius(self, capsys):
+        code, out = run(["ball", "--block", "1", "2", "2", "--radius", "-1"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: radius must be nonnegative\n"
 
     def test_cap_exit_code(self):
         code, out = run(["ball", "--block", "1", "2", "2", "--radius", "4",
@@ -379,6 +402,67 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2, 3), argv
+
+
+#: replacement values for the spec fuzz: a string, null, floats, bools,
+#: a negative and a huge integer
+VALUES = ["x", "14", None, 1.5, float("inf"), True, False, -1, 2 ** 70]
+
+
+@st.composite
+def spec_texts(draw, doc):
+    """The text of ``doc`` with one key dropped or renamed, one value
+    replaced, or the text truncated; or ``doc`` with oversize parameters.
+    Returns (text, oversize)."""
+    doc = json.loads(json.dumps(doc))
+    edit = draw(st.sampled_from(["replace", "drop", "rename", "truncate",
+                                 "oversize"]))
+    if edit == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))], False
+    if edit == "oversize":
+        # consistent block parameters: m = L*n, with (2n)^2 > 2^26 letters
+        n = draw(st.integers(2 ** 13, 2 ** 62))
+        doc["params"] = {"n": n, "m": 2 * n, "L": 2}
+        return json.dumps(doc), True
+    parent = draw(st.sampled_from([doc["params"], doc, doc["levels"][0]]))
+    key = draw(st.sampled_from(sorted(parent)))
+    if edit == "replace":
+        parent[key] = draw(st.sampled_from(VALUES))
+    elif edit == "rename":
+        parent[key + "_"] = parent.pop(key)
+    else:
+        del parent[key]
+    return json.dumps(doc), False
+
+
+@pytest.fixture(scope="module")
+def block_doc(fuzz_dir):
+    return json.loads((fuzz_dir / "spec.json").read_text())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_spec_exits_with_a_documented_code(fuzz_dir, block_doc, data):
+    """A mutated ``build --block 1 2 2`` document read by ``verify --spec``
+    and ``build --spec`` ends in exit 0, 1, 2 or 3 with no traceback; one
+    with oversize parameters exits 3 in a capped child, before it
+    allocates."""
+    text, oversize = data.draw(spec_texts(block_doc))
+    path = fuzz_dir / "mutant.json"
+    path.write_text(text)
+    for cmd in ("verify", "build"):
+        argv = [cmd, "--spec", str(path)]
+        if oversize:
+            out = run_capped(argv)
+            code, err = out.returncode, out.stderr
+            assert code == 3 and err.startswith("cap exceeded: block needs "), err
+        else:
+            err_io = io.StringIO()
+            with contextlib.redirect_stderr(err_io):
+                code, _ = run(argv)
+            err = err_io.getvalue()
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, text
 
 
 class TestDeterminism:

@@ -685,3 +685,40 @@ class TestGluingOracle:
         chain = build_chain(3, 5, certify=False)
         check_chain_gluing(chain)
         assert len(calls) == 1 and calls[0] is chain
+
+    @pytest.mark.parametrize("l,L", CHAINS)
+    def test_given_link_reports_as_built(self, l, L):
+        # failing witnesses included: chain(2, 5), (2, 8), (2, 2) and
+        # (3, 5) fail a gluing step
+        chain = build_chain(l, L, certify=False)
+        given_rep = check_chain_gluing(chain, build_link(chain))
+        built_rep = check_chain_gluing(chain)
+        assert given_rep.levels == built_rep.levels
+        assert given_rep.union_girth == built_rep.union_girth
+        assert given_rep.ok == built_rep.ok
+
+    def test_given_link_is_not_rebuilt(self, monkeypatch):
+        import catdistort.linkgeom as LG
+
+        chain = build_chain(2, 5, certify=False)
+        link = build_link(chain)
+        monkeypatch.setattr(LG, "build_link", None)
+        assert check_chain_gluing(chain, link).levels
+
+    @pytest.mark.parametrize("foreign", ["other chain", "one edge short",
+                                         "stable marks swapped", "block"])
+    def test_link_of_another_spec_refused(self, foreign):
+        chain = build_chain(3, 5, certify=False)
+        link = build_link(chain)
+        if foreign == "other chain":
+            link = build_link(build_chain(2, 5, certify=False))
+        elif foreign == "one edge short":
+            link = LinkGraph(link.n_gens, link.edges[:-1], link.chord_base,
+                             link.marked, link.alphabet)
+        elif foreign == "stable marks swapped":
+            link.marked["stable-1"], link.marked["stable-2"] = (
+                link.marked["stable-2"], link.marked["stable-1"])
+        else:
+            link = build_link(build_block(BlockParams(1, 5, 5), certify=False))
+        with pytest.raises(InvalidInputError, match="not this chain's"):
+            check_chain_gluing(chain, link)
