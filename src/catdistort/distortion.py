@@ -532,8 +532,8 @@ def _sample_f_word(spec: GroupSpec, k: int, rng) -> Word:
                 # reverse-pinch material: t^-p phi^p(x) t^p
                 endo = lv.endos[t_ids.index(t)]
                 core = [x]
-                for _ in range(p):
-                    core = list(endo.apply(core))
+                for _ in range(p):  # one-signed words: images cannot cancel
+                    core = endo.append_image(core, [])
                 chunk = [-t] * p + core + [t] * p
             else:
                 chunk = [t] * p + [x] + [-t] * p

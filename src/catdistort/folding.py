@@ -560,22 +560,33 @@ class PositiveEndomorphism:
 
     # -- applying -------------------------------------------------------
 
-    def apply(self, word: Sequence[int]) -> Word:
-        """Freely reduced image of a word over the domain letters;
-        :class:`InvalidInputError` names a letter outside the domain."""
+    def append_image(self, word: Sequence[int], out: list[int]) -> list[int]:
+        """Append the images of word's letters to ``out`` in one pass and
+        return ``out``: each letter costs one dict lookup and one in-place
+        list concatenation, which copies its row in C.  A positive word's
+        images are positive rows, so this writes phi(word) already
+        reduced; a signed word's concatenation may cancel (:meth:`apply`
+        reduces it).  :class:`InvalidInputError` names a letter outside
+        the domain, and ``out`` may then hold the images of the letters
+        before it."""
         image_of = self._image_of()
-        out: list[int] = []
-        positive = True
-        for x in word:
-            img = image_of.get(x)
-            if img is None:
-                raise InvalidInputError(f"letter {x!r} is not in the map's domain")
-            if x < 0:
-                positive = False
-            out.extend(img)
-        if positive:
-            return tuple(out)
-        return free_reduce(out)
+        try:
+            for x in word:
+                out += image_of[x]
+            return out
+        except KeyError as e:
+            raise InvalidInputError(
+                f"letter {e.args[0]!r} is not in the map's domain") from None
+
+    def apply(self, word: Sequence[int]) -> Word:
+        """Freely reduced image of a word over the domain letters: the
+        tuple of :meth:`append_image` for a positive word, else the free
+        reduction of that concatenation.  :class:`InvalidInputError`
+        names a letter outside the domain."""
+        out = self.append_image(word, [])
+        if out and min(word) < 0:  # every letter is a nonzero domain id now
+            return free_reduce(out)
+        return tuple(out)
 
     def membership(self, word: Sequence[int]) -> bool:
         return membership(self.graph, word)

@@ -18,21 +18,21 @@ import numpy as np
 
 from .distortion import DistortionCurve, Exact
 from .errors import CapExceededError, InvalidInputError
-from .folding import PositiveEndomorphism
 from .presentations import GroupSpec, LevelSpec, retractions
 from .words import Word, free_reduce, invert
 
-#: cap on the letters one forward pinch may produce (t u t^-1 -> phi(u))
+#: cap on the letters a reduction holds at one level: its stack after a
+#: forward pinch writes phi(u), and the segments reduced one level down
 REDUCE_LETTER_CAP = 1 << 22
 
 
-def _check_expansion(n_letters: int, endo: PositiveEndomorphism) -> None:
-    """Raise :class:`CapExceededError` before expanding an n-letter
-    segment to more than :data:`REDUCE_LETTER_CAP` letters."""
-    if n_letters * endo.length > REDUCE_LETTER_CAP:
+def _check_budget(n_letters: int) -> None:
+    """Raise :class:`CapExceededError` before a reduction grows to hold
+    more than :data:`REDUCE_LETTER_CAP` letters at one level."""
+    if n_letters > REDUCE_LETTER_CAP:
         raise CapExceededError(
-            f"a forward pinch would expand {n_letters} letters to "
-            f"{n_letters * endo.length}, above the cap {REDUCE_LETTER_CAP}")
+            f"a reduction would hold {n_letters} letters at one level, "
+            f"above the cap {REDUCE_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,17 @@ def _merge(dst: list[int], src: Sequence[int]) -> None:
     dst.extend(src[i:])
 
 
+def _cancel_seam(stack: list[int], i: int) -> None:
+    """Freely reduce ``stack`` whose parts before and from index i are
+    each reduced: only pairs straddling the seam cancel."""
+    lo, hi, n = i, i, len(stack)
+    while lo and hi < n and stack[lo - 1] == -stack[hi]:
+        lo -= 1
+        hi += 1
+    if lo < i:
+        del stack[lo:hi]
+
+
 class WordProblem:
     """Compiled reduction machinery for one :class:`GroupSpec`.  It keeps
     what it reads of the spec and not the spec, which caches it, so a
@@ -101,8 +112,10 @@ class WordProblem:
     # -- core reduction ----------------------------------------------------
 
     def _check_letters(self, word: Sequence[int]) -> None:
-        for x in word:
-            if not isinstance(x, (int, np.integer)) or x == 0 or abs(x) > self.n_gens:
+        n = self.n_gens
+        for x in word:  # a bool is an int but not a letter
+            if (type(x) is not int and not isinstance(x, np.integer)
+                    or x == 0 or abs(x) > n):
                 raise InvalidInputError(f"letter {x!r} outside the alphabet")
 
     def _accept(self, lvl: _Level, ids: frozenset, kind: str, u: list[int]):
@@ -123,23 +136,37 @@ class WordProblem:
             return None
         return list(c)
 
-    def _pinch(self, lvl: _Level, gid: int, closer_sign: int,
-               u: list[int]):
-        """Replacement word for opener (g, -closer_sign), u, closer, or
-        None when the pair does not pinch, with the pinch's direction."""
+    def _pinch(self, lvl: _Level, gid: int, forward: bool,
+               stack: list[int], oi: int) -> int | None:
+        """Pinch the opener ``stack[oi]`` with the closer being read:
+        replace ``stack[oi:]``, the opener and the segment u it encloses,
+        by phi(u) (forward: t u t^-1) or phi^-1(u) (backward: t^-1 u t),
+        cancelled at the seam, and return the replacement's length.
+        None, with the stack untouched, when the pair does not pinch.
+
+        The seam cannot reach a mark: no image holds a stable letter of
+        its own level."""
         endo = lvl.endos[lvl.stable[gid]]
-        if closer_sign == -1:
-            # t u t^-1 with u in F(domain): expand through the endomorphism
+        u = stack[oi + 1:]
+        if forward:
             c = self._accept(lvl, lvl.dom_set, lvl.dom_kind, u)
             if c is None:
-                return None, "forward"
-            _check_expansion(len(c), endo)
-            return endo.apply(c), "forward"
-        # t^-1 u t with u in the image subgroup: rewrite back
-        c = self._accept(lvl, lvl.cod_set, lvl.cod_kind, u)
-        if c is None:
-            return None, "backward"
-        return endo.try_preimage(c), "backward"
+                return None
+            _check_budget(oi + len(c) * endo.length)
+            del stack[oi:]
+            if not c or min(c) > 0:  # phi(c) is positive and reduced
+                endo.append_image(c, stack)
+                _cancel_seam(stack, oi)
+                return len(c) * endo.length
+            repl = endo.apply(c)
+        else:
+            c = self._accept(lvl, lvl.cod_set, lvl.cod_kind, u)
+            repl = None if c is None else endo.try_preimage(c)
+            if repl is None:
+                return None
+            del stack[oi:]
+        _merge(stack, repl)
+        return len(repl)
 
     def _reduce(self, letters: Sequence[int], k: int,
                 trace: ReductionTrace | None,
@@ -162,17 +189,15 @@ class WordProblem:
             if g in stable:
                 if marks and stack[marks[-1]] == -x:
                     oi = marks[-1]
-                    u = stack[oi + 1:]
-                    repl, direction = self._pinch(lvl, g, 1 if x > 0 else -1, u)
-                    if repl is not None:
+                    pre_length = len(stack) - oi + 1
+                    post_length = self._pinch(lvl, g, x < 0, stack, oi)
+                    if post_length is not None:
                         if trace is not None:
                             trace.record(position=offset + oi, stable=g,
-                                         direction=direction,
-                                         pre_length=len(u) + 2,
-                                         post_length=len(repl), level=k)
-                        del stack[oi:]
+                                         direction="forward" if x < 0 else "backward",
+                                         pre_length=pre_length,
+                                         post_length=post_length, level=k)
                         marks.pop()
-                        _merge(stack, repl)
                         continue
                 marks.append(len(stack))
                 stack.append(x)
@@ -192,6 +217,7 @@ class WordProblem:
             if any(abs(y) not in self.base_set for y in seg):
                 seg, left = self._reduce(seg, k + 1, trace, offset + len(out))
                 survived = survived or left
+            _check_budget(len(out) + len(seg))
             out.extend(seg)
             out.extend(stack[end:end + 1])  # the stable letter, if any
             start = end + 1
@@ -258,8 +284,10 @@ class WordProblem:
             if x < 0:
                 # pending t^-1 = t^-1 phi(pending)
                 out.append(x)
-                _check_expansion(len(pending), endo)
-                pending = list(endo.apply(pending))
+                _check_budget(len(out) + len(pending) * endo.length)
+                img = endo.append_image(pending, [])
+                pending = (img if min(pending, default=1) > 0
+                           else list(free_reduce(img)))
             else:
                 # pending t = rep t phi^-1(member)
                 rep = invert(endo.coset_rep(invert(pending)))

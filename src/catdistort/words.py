@@ -142,11 +142,14 @@ def free_reduce(word: Sequence[int]) -> Word:
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
+    undo = None  # the letter that cancels the top of the stack
     for x in word:
-        if stack and stack[-1] == -x:
+        if x == undo:
             pop()
+            undo = -stack[-1] if stack else None
         else:
             push(x)
+            undo = -x
     return tuple(stack)
 
 

@@ -192,6 +192,15 @@ class TestReduce:
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("cap exceeded: ")
 
+    def test_total_over_budget_exits_cap(self):
+        # eight copies of t^5 a t^-5 reduce to 8 * 14^5 = 4,302,592 letters,
+        # above 2^22, although each forward pinch stays below it
+        word = " ".join((["t1"] * 5 + ["a1"] + ["t1^-1"] * 5) * 8)
+        out = run_capped(["reduce", "--block", "1", "14", "14", "--word", word])
+        assert out.returncode == 3 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("cap exceeded: ")
+
 
 class TestBuildBudget:
     """A block of 1.96e12 square-word letters exits 3 before it allocates,

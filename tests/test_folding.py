@@ -264,8 +264,14 @@ class TestMembership:
             nxt = []
             for w in frontier:
                 for mv in moves:
-                    r = free_reduce(w + mv)
-                    if len(r) <= max_len + slack and r not in seen:
+                    # w and mv are reduced: only the seam cancels
+                    i = 0
+                    while i < len(w) and i < len(mv) and w[-1 - i] == -mv[i]:
+                        i += 1
+                    if len(w) + len(mv) - 2 * i > max_len + slack:
+                        continue
+                    r = w[:len(w) - i] + mv[i:]
+                    if r not in seen:
                         seen.add(r)
                         nxt.append(r)
             frontier = nxt
@@ -404,6 +410,76 @@ class TestDomainLetters:
                 use()
 
 
+def _apply_reference(phi, word):
+    """The per-letter image loop :meth:`PositiveEndomorphism.apply` ran
+    before it wrote images in one pass: the oracle for apply and for the
+    reducer's forward pinches."""
+    rows = [tuple(r) for r in phi.images.tolist()]
+    image_of = dict(zip(phi.domain_ids, rows))
+    image_of.update((-g, invert(r)) for g, r in zip(phi.domain_ids, rows))
+    out: list[int] = []
+    positive = True
+    for x in word:
+        img = image_of.get(x)
+        if img is None:
+            raise InvalidInputError(f"letter {x!r} is not in the map's domain")
+        if x < 0:
+            positive = False
+        out.extend(img)
+    if positive:
+        return tuple(out)
+    return free_reduce(out)
+
+
+@pytest.fixture(scope="module")
+def paper_double():
+    return build_double(196, 2744, 14, certify=False)
+
+
+def _apply_cases(phi, rng):
+    """Seeded positive and signed words (unreduced too), the empty word,
+    words whose images cancel whole, and numpy-integer words, as tuples
+    and as arrays."""
+    dom = phi.domain_ids
+    words = [(), (dom[0],), (-dom[-1],), (dom[0], -dom[0]), (-dom[0], dom[0])]
+    for _ in range(30):
+        n = rng.randrange(1, 40)
+        words.append(tuple(rng.choice(dom) for _ in range(n)))
+        words.append(tuple(rng.choice(dom) * rng.choice((1, -1)) for _ in range(n)))
+    words += [tuple(np.int32(x) for x in w) for w in words[1:9]]
+    words += [np.array(w, dtype=np.int64) for w in words[3:9]]
+    return words
+
+
+def test_apply_matches_the_per_letter_loop(paper_double):
+    rng = random.Random(20)
+    for phi in (build_block(BlockParams(1, 14, 14), certify=False).levels[0].endos[0],
+                paper_double.levels[0].endos[0],  # the s-map
+                build_double(9, 27, 3, certify=False).levels[1].endos[4]):
+        outside = [0, -max(phi.domain_ids) - 1, 10 ** 6]
+        outside += [g for g in range(1, max(phi.domain_ids)) if g not in phi.domain_ids][:1]
+        for w in _apply_cases(phi, rng):
+            got = phi.apply(w)
+            assert got == _apply_reference(phi, w), w
+            assert type(got) is tuple and all(type(x) is int for x in got)
+            if len(w) == 0:
+                continue
+            for x in outside:
+                bad = tuple(w[:len(w) // 2]) + (x,) + tuple(w[len(w) // 2:])
+                with pytest.raises(InvalidInputError) as want:
+                    _apply_reference(phi, bad)
+                with pytest.raises(InvalidInputError) as seen:
+                    phi.apply(bad)
+                assert str(seen.value) == str(want.value)
+
+
+def test_append_image_writes_after_what_the_list_holds():
+    phi = PositiveEndomorphism(sigma_family(14, 14, 14))
+    out = [-3, 5]
+    assert phi.append_image((2, 1), out) is out
+    assert out == [-3, 5] + list(phi.apply((2,))) + list(phi.apply((1,)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 14).flatmap(
     lambda g: st.sampled_from([g, -g])), max_size=30))
@@ -465,8 +541,8 @@ def test_one_round_matches_fold_on_built_groups(build):
             assert_same_as_fold(phi.images)
 
 
-def test_one_round_matches_fold_on_paper_maps():
-    d = build_double(196, 2744, 14, certify=False)
+def test_one_round_matches_fold_on_paper_maps(paper_double):
+    d = paper_double
     assert_same_as_fold(d.levels[1].endos[39].images)  # t40
     assert_same_as_fold(d.levels[0].endos[0].images)   # s
 
@@ -772,8 +848,8 @@ def test_graph_read_matches_parse_on_built_groups(build, budget):
             assert any(answered)
 
 
-def test_graph_read_matches_parse_on_paper_maps():
-    d = build_double(196, 2744, 14, certify=False)
+def test_graph_read_matches_parse_on_paper_maps(paper_double):
+    d = paper_double
     rng = random.Random(40)
     s_map, t40 = d.levels[0].endos[0], d.levels[1].endos[39]
     for phi, n_words, length in ((s_map, 12, 3), (t40, 4, 2)):

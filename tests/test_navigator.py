@@ -1,11 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catdistort import navigator
 from catdistort.errors import CapExceededError, InvalidInputError
 from catdistort.navigator import (
+    REDUCE_LETTER_CAP,
+    ReductionTrace,
+    TraceStep,
+    _merge,
     ball,
     ball_exhaustive,
     britton_reduce,
@@ -23,6 +29,7 @@ from catdistort.presentations import (
     retractions,
 )
 from catdistort.words import free_reduce, invert
+from test_folding import _apply_reference
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +77,12 @@ class TestBritton:
         with pytest.raises(InvalidInputError):
             britton_reduce(b22, (0,))
 
+    @pytest.mark.parametrize("letter", [True, False, np.True_])
+    def test_bool_letters_rejected(self, b14, letter):
+        for call in (britton_reduce, to_base, is_trivial):
+            with pytest.raises(InvalidInputError, match="outside the alphabet"):
+                call(b14, (letter, 2))
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_retraction_invariance(self, data):
@@ -98,18 +111,29 @@ class TestBritton:
             assert 2 * tr.pinch_count <= len(w)
 
     def test_reducer_matches_full_scan(self, b22):
-        from catdistort.navigator import ReductionTrace
-
         wp = b22.word_problem()
         rng = random.Random(7)
         for _ in range(2500):
             w = [rng.choice([1, -1, 2, -2, 3, -3])
                  for _ in range(rng.randrange(0, 16))]
-            want = _full_scan_reduce(wp, list(w), 0)
+            steps = []
+            want = _full_scan_reduce(wp, list(w), 0, steps)
             for trace in (None, ReductionTrace()):
                 red, survived = wp._reduce(list(w), 0, trace)
                 assert red == want, w
                 assert survived == any(abs(x) == 3 for x in red), w
+            assert trace.steps == steps, w
+
+    def test_forward_expansions_match_full_scan(self, b14):
+        wp = b14.word_problem()
+        t = 15
+        for n in range(6):
+            for w in ((t,) * n + (1,) + (-t,) * n,
+                      (-2, -1) + (t,) * n + (14,) + (-t,) * n + (3,)):
+                steps = []
+                want = _full_scan_reduce(wp, list(w), 0, steps)
+                assert britton_reduce(b14, w) == (tuple(want), ReductionTrace(steps))
+                assert len(steps) == n
 
 
 def _dehn_closure(spec, max_len):
@@ -176,6 +200,31 @@ class TestTriviality:
                 stack.append(cand)
         assert count == 23436  # 6 * 5^(d-1) summed over d = 1..6
         assert checked > 0  # the oracle saw nontrivial trivial words
+
+
+class TestLetterBudget:
+    """REDUCE_LETTER_CAP bounds the letters a reduction holds at one
+    level, not each forward pinch alone."""
+
+    def test_many_expansions_over_the_cap_raise(self, b14):
+        t = 15
+        one = (t,) * 5 + (1,) + (-t,) * 5  # 14^5 = 537,824 letters
+        assert len(to_base(b14, one)) == 14 ** 5
+        assert len(to_base(b14, one * 7)) == 7 * 14 ** 5  # 3,764,768
+        for call in (britton_reduce, to_base, is_trivial):
+            with pytest.raises(CapExceededError):
+                call(b14, one * 8)  # 4,302,592 > 2^22
+
+    def test_segments_reduced_one_level_down_count(self, monkeypatch):
+        # each segment expands to 60 letters at level 1, and two of them
+        # with the stable letter between hold 121 letters at level 0
+        monkeypatch.setattr(navigator, "REDUCE_LETTER_CAP", 100)
+        c = build_chain(2, 5)
+        seg = (2, 7, -2) * 12
+        assert len(to_base(c, seg)) == 60
+        assert len(britton_reduce(c, seg + (1,))[0]) == 61
+        with pytest.raises(CapExceededError):
+            britton_reduce(c, seg + (1,) + seg)
 
 
 class TestEqual:
@@ -316,12 +365,43 @@ class TestMeasureDistortion:
 # -- the reducer's survival report, against a full rescan --------------------
 
 
-def _full_scan_reduce(wp, letters, k):
+def _oracle_accept(wp, lvl, forward, u):
+    """The word over the level's domain (forward) or codomain letters
+    equal to u, or None, decided with the full-scan reducer."""
+    ids, kind = ((lvl.dom_set, lvl.dom_kind) if forward
+                 else (lvl.cod_set, lvl.cod_kind))
+    if kind == "base":
+        return u
+    w = _full_scan_reduce(wp, u, lvl.index + 1)
+    if all(abs(x) in ids for x in w):
+        return w
+    if kind == "reduce":
+        return None
+    c = free_reduce([x for x in w if abs(x) in ids])
+    probe = list(w)
+    _merge(probe, invert(c))
+    return None if _full_scan_reduce(wp, probe, lvl.index + 1) else list(c)
+
+
+def _oracle_pinch(wp, lvl, g, e, u):
+    """The replacement for (g, -e) u (g, e), or None: forward through
+    the per-letter image loop, backward through the map's preimage."""
+    endo = lvl.endos[lvl.stable[g]]
+    c = _oracle_accept(wp, lvl, e == -1, u)
+    if c is None:
+        return None
+    if e == 1:
+        return endo.try_preimage(c)
+    if len(c) * endo.length > REDUCE_LETTER_CAP:
+        raise CapExceededError("a forward pinch above the cap")
+    return _apply_reference(endo, c)
+
+
+def _full_scan_reduce(wp, letters, k, steps=None, offset=0):
     """The generic reducer with the survivor rescan at every level: each
     surviving segment holding a non-base letter is reduced one level
-    deeper, the last level included."""
-    from catdistort.navigator import _merge
-
+    deeper, the last level included.  Pinches append their
+    :class:`TraceStep` to ``steps`` when it is given."""
     if k >= wp.n_levels:
         return list(free_reduce(letters))
     lvl = wp.levels[k]
@@ -338,8 +418,13 @@ def _full_scan_reduce(wp, letters, k):
         u, oi = ((stack[-1][1], len(stack) - 2) if stack and stack[-1][0] == "b"
                  else ([], len(stack) - 1))
         if oi >= 0 and stack[oi] == ("s", g, -e):
-            repl, _ = wp._pinch(lvl, g, e, u)
+            repl = _oracle_pinch(wp, lvl, g, e, u)
             if repl is not None:
+                if steps is not None:
+                    before = sum(1 if it[0] == "s" else len(it[1]) for it in stack[:oi])
+                    steps.append(TraceStep(offset + before, g,
+                                           "forward" if e == -1 else "backward",
+                                           len(u) + 2, len(repl), k))
                 del stack[oi:]
                 if stack and stack[-1][0] == "b":
                     _merge(stack[-1][1], repl)
@@ -354,7 +439,7 @@ def _full_scan_reduce(wp, letters, k):
         else:
             seg = item[1]
             if any(abs(y) not in wp.base_set for y in seg):
-                seg = _full_scan_reduce(wp, seg, k + 1)
+                seg = _full_scan_reduce(wp, seg, k + 1, steps, offset + len(out))
             _merge(out, seg)
     return out
 
@@ -384,6 +469,24 @@ def _oracle_words(spec, rng, count):
     return words
 
 
+def _seam_words(spec):
+    """Forward pinches whose image cancels at the seam: x^-1 t a t^-1
+    with x the first letter of phi(a); a prefix the image cancels whole;
+    an image that cancels back to a surviving stable letter; a prefix
+    that cancels the whole image."""
+    words = []
+    for lv in spec.levels:
+        t, phi, a = lv.stable_ids[0], lv.endos[0], lv.domain_ids[0]
+        img = phi.apply((a,))
+        pinch = (t, a, -t)
+        words += [(-img[0],) + pinch,
+                  invert(img[:3]) + pinch,
+                  (-t,) + invert(img[:2]) + pinch,
+                  invert(img) + pinch,
+                  (a,) + invert(img) + pinch + (a,)]
+    return words
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_block(BlockParams(1, 2, 2)),
     lambda: build_block(BlockParams(1, 14, 14)),
@@ -395,16 +498,17 @@ def test_survival_report_matches_full_scan(build):
     wp = spec.word_problem()
     rng = random.Random(35)
     survived = 0
-    for w in _oracle_words(spec, rng, 150):
+    for w in _oracle_words(spec, rng, 150) + _seam_words(spec):
+        steps = []
         try:
-            red = tuple(_full_scan_reduce(wp, list(w), 0))
+            red = tuple(_full_scan_reduce(wp, list(w), 0, steps))
         except CapExceededError:
             for call in (britton_reduce, to_base, is_trivial):
                 with pytest.raises(CapExceededError):
                     call(spec, w)
             continue
         in_base = all(abs(x) in wp.base_set for x in red)
-        assert britton_reduce(spec, w)[0] == red, w
+        assert britton_reduce(spec, w) == (red, ReductionTrace(steps)), w
         assert to_base(spec, w) == (red if in_base else None), w
         assert is_trivial(spec, w) == (red == ()), w
         survived += not in_base

@@ -58,6 +58,21 @@ class TestFreeReduce:
     def test_inverse_cancels(self, w):
         assert free_reduce(tuple(w) + invert(w)) == ()
 
+    @settings(max_examples=200, deadline=None)
+    @given(raw_words(max_rank=3, max_len=60))
+    def test_matches_deleting_pairs(self, w):
+        # the definition: delete adjacent x, -x pairs until none is left
+        r = list(w)
+        i = 0
+        while i + 1 < len(r):
+            if r[i] == -r[i + 1]:
+                del r[i:i + 2]
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        assert free_reduce(w) == tuple(r)
+        assert free_reduce(np.array(w, dtype=np.int64)) == tuple(r)
+
 
 class TestSigma:
     def test_m2(self):
