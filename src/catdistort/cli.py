@@ -25,7 +25,7 @@ from .distortion import (
     witness_tower,
 )
 from .errors import (CapExceededError, CatDistortError, InvalidInputError,
-                     InvalidParameterError, SpecParseError)
+                     InvalidParameterError, SpecParseError, check_budget)
 from .navigator import ball, britton_reduce, measure_distortion
 from .words import _sigma_blocks, alphabet_of, check_pair_uniqueness
 
@@ -88,9 +88,7 @@ def _cmd_sigma(args) -> int:
     m = args.m
     if m < 2:
         raise InvalidParameterError(f"sigma needs at least 2 letters, got {m}")
-    if m * m > P.BUILD_LETTER_CAP:
-        raise CapExceededError(
-            f"sigma needs {m}^2 letters, above the cap {P.BUILD_LETTER_CAP}")
+    check_budget(m * m, P.BUILD_LETTER_CAP, "sigma needs")
     al = alphabet_of(args.role, m)
     # a block at a time: the word is m^2 letters, its blocks at most 2m
     _emit((al.word_to_str(blk.tolist()) + (" " if i < m - 1 else "\n")
@@ -250,12 +248,18 @@ def _cmd_witness(args) -> int:
 def _cmd_export_dot(args) -> int:
     spec = _load_spec(args)
     if args.what == "stallings":
+        if not 0 <= args.level < len(spec.levels):
+            raise InvalidParameterError(
+                f"--level {args.level} outside 0..{len(spec.levels) - 1}")
         lv = spec.levels[args.level]
+        if not 0 <= args.index < len(lv.endos):
+            raise InvalidParameterError(
+                f"--index {args.index} outside 0..{len(lv.endos) - 1}")
         phi = lv.endos[args.index]
         _emit(phi.graph.to_dot(spec.alphabet) + "\n", args.out)
     else:
         link = LG.build_link(spec)
-        _emit(link.to_dot(boundary_only=args.boundary_only) + "\n", args.out)
+        _emit(link.to_dot(boundary_only=args.boundary_only), args.out)
     return EXIT_OK
 
 

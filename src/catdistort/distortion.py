@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import CapExceededError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_budget
 from .presentations import GroupSpec
 from .words import Alphabet, Gen, Word, free_reduce, invert
 
@@ -336,20 +336,9 @@ class Witness:
 
 
 #: cap on the letters of an explicit witness word (block, chain or tower):
-#: tower stages k <= 20
+#: tower stages k <= 20.  Callers clamp doubling exponents at 64, so an
+#: oversize count is never computed in full
 TOWER_LETTER_CAP = 1 << 22
-
-
-def _check_witness_letters(kind: str, letters: int) -> None:
-    """Raise :class:`CapExceededError`, before a witness builds any
-    letter, when its word would exceed :data:`TOWER_LETTER_CAP`.  Callers
-    clamp doubling exponents at 64, so a count of 2^62 letters or more
-    is reported as such, never computed or printed in full."""
-    if letters > TOWER_LETTER_CAP:
-        raise CapExceededError(
-            f"the {kind} witness word has "
-            f"{letters if letters < 1 << 62 else 'over 2^62'} letters, "
-            f"above the cap {TOWER_LETTER_CAP}")
 
 
 def _block_ids(spec: GroupSpec):
@@ -363,7 +352,7 @@ def witness_block(spec: GroupSpec, n: int) -> Witness:
         raise InvalidParameterError("n must be nonnegative")
     if spec.structure != "block":
         raise InvalidInputError("block witness needs a block presentation")
-    _check_witness_letters("block", 2 * n + 1)
+    check_budget(2 * n + 1, TOWER_LETTER_CAP, "the block witness word has")
     L = spec.params["L"]
     t, a = _block_ids(spec)
     word = (t,) * n + (a,) + (-t,) * n
@@ -382,7 +371,8 @@ def witness_chain(l: int, L: int, n: int,
     word, multiplying length exactly by L per letter)."""
     if l < 1 or n < 0 or L < 2:
         raise InvalidParameterError("need l >= 1, n >= 0, L >= 2")
-    _check_witness_letters("chain", 2 ** min(l, 64) * (n + 1) - 1)
+    check_budget(2 ** min(l, 64) * (n + 1) - 1, TOWER_LETTER_CAP,
+                 "the chain witness word has")
     if spec is not None:
         if spec.structure != "chain" or spec.params["l"] != l \
                 or spec.params["L"] != L:
@@ -427,7 +417,8 @@ def witness_tower(k: int, L: int = 14,
     that many times."""
     if k < 1:
         raise InvalidParameterError("k must be at least 1")
-    _check_witness_letters(f"stage-{k} tower", 2 ** (min(k, 64) + 2) - 5)
+    check_budget(2 ** (min(k, 64) + 2) - 5, TOWER_LETTER_CAP,
+                 f"the stage-{k} tower witness word has")
     if spec is not None:
         if spec.structure != "double" or spec.params["L"] != L:
             raise InvalidInputError("spec does not match the requested double")

@@ -32,11 +32,17 @@ class ConstructionError(CatDistortError):
 
 
 class CapExceededError(CatDistortError):
-    """An enumeration hit its element cap.  Carries the partial result."""
+    """A size budget was exceeded before anything was allocated."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+
+def check_budget(n: int, cap: int, what: str, noun: str = "letters") -> None:
+    """Raise :class:`CapExceededError` when n > cap, before the caller
+    allocates n.  A count of 2^62 or more is reported as such, never
+    printed in full."""
+    if n > cap:
+        raise CapExceededError(
+            f"{what} {n if n < 1 << 62 else 'over 2^62'} {noun}, "
+            f"above the cap {cap}")
 
 
 class SpecParseError(CatDistortError, ValueError):

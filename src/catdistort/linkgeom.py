@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .presentations import GroupSpec, Relator
 from .words import Alphabet
 
 RIGHT_ANGLE = 0.5  # corner weight in units of pi
+
+#: edge rows per chunk of :meth:`LinkGraph.to_dot` text
+DOT_CHUNK_ROWS = 1 << 16
 
 # -- the ladder: symbolic pentagon layout ------------------------------------
 
@@ -322,14 +325,18 @@ class LinkGraph:
                  for d in e] for e in edges]
         return LinkGraph(max_gen, rows, chord_base)
 
-    def to_dot(self, boundary_only: bool = False) -> str:
-        lines = ["graph link {"]
-        for a, b in self.edges.tolist():
-            if boundary_only and (a >= self.chord_base or b >= self.chord_base):
-                continue
-            lines.append(f'  "{self.vertex_name(a)}" -- "{self.vertex_name(b)}";')
-        lines.append("}")
-        return "\n".join(lines)
+    def to_dot(self, boundary_only: bool = False) -> Iterator[str]:
+        """The Graphviz text, yielded :data:`DOT_CHUNK_ROWS` edge rows at
+        a time, so that no copy of the whole link is held as text."""
+        name = self.vertex_name
+        yield "graph link {\n"
+        for i in range(0, self.n_edges, DOT_CHUNK_ROWS):
+            rows = self.edges[i:i + DOT_CHUNK_ROWS]
+            if boundary_only:
+                rows = rows[(rows < self.chord_base).all(axis=1)]
+            yield "".join(f'  "{name(a)}" -- "{name(b)}";\n'
+                          for a, b in rows.tolist())
+        yield "}\n"
 
 
 def build_link(spec: GroupSpec) -> LinkGraph:

@@ -17,22 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .distortion import DistortionCurve, Exact
-from .errors import CapExceededError, InvalidInputError
+from .errors import InvalidInputError, check_budget
 from .presentations import GroupSpec, LevelSpec, retractions
 from .words import Word, free_reduce, invert
 
 #: cap on the letters a reduction holds at one level: its stack after a
 #: forward pinch writes phi(u), and the segments reduced one level down
 REDUCE_LETTER_CAP = 1 << 22
-
-
-def _check_budget(n_letters: int) -> None:
-    """Raise :class:`CapExceededError` before a reduction grows to hold
-    more than :data:`REDUCE_LETTER_CAP` letters at one level."""
-    if n_letters > REDUCE_LETTER_CAP:
-        raise CapExceededError(
-            f"a reduction would hold {n_letters} letters at one level, "
-            f"above the cap {REDUCE_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +63,6 @@ class _Level:
         self.dom_set = frozenset(lv.domain_ids)
         self.dom_kind = lv.dom_kind
         self.cod_kind = lv.cod_kind
-
-
-def _merge(dst: list[int], src: Sequence[int]) -> None:
-    """Append a reduced word to a reduced word, cancelling at the seam."""
-    i, n = 0, len(src)
-    while dst and i < n and dst[-1] == -src[i]:
-        dst.pop()
-        i += 1
-    dst.extend(src[i:])
 
 
 def _cancel_seam(stack: list[int], i: int) -> None:
@@ -130,8 +112,8 @@ class WordProblem:
             return None  # deeper stable letters survived reduction
         # retract-and-verify: F(ids) is a retract of the base group
         c = free_reduce([x for x in w if abs(x) in ids])
-        probe = list(w)
-        _merge(probe, invert(c))
+        probe = [*w, *invert(c)]
+        _cancel_seam(probe, len(w))
         if self._reduce(probe, lvl.index + 1, None)[0]:
             return None
         return list(c)
@@ -152,7 +134,8 @@ class WordProblem:
             c = self._accept(lvl, lvl.dom_set, lvl.dom_kind, u)
             if c is None:
                 return None
-            _check_budget(oi + len(c) * endo.length)
+            check_budget(oi + len(c) * endo.length, REDUCE_LETTER_CAP,
+                         "a reduction would hold", "letters at one level")
             del stack[oi:]
             if not c or min(c) > 0:  # phi(c) is positive and reduced
                 endo.append_image(c, stack)
@@ -165,7 +148,8 @@ class WordProblem:
             if repl is None:
                 return None
             del stack[oi:]
-        _merge(stack, repl)
+        stack.extend(repl)
+        _cancel_seam(stack, oi)
         return len(repl)
 
     def _reduce(self, letters: Sequence[int], k: int,
@@ -217,7 +201,8 @@ class WordProblem:
             if any(abs(y) not in self.base_set for y in seg):
                 seg, left = self._reduce(seg, k + 1, trace, offset + len(out))
                 survived = survived or left
-            _check_budget(len(out) + len(seg))
+            check_budget(len(out) + len(seg), REDUCE_LETTER_CAP,
+                         "a reduction would hold", "letters at one level")
             out.extend(seg)
             out.extend(stack[end:end + 1])  # the stable letter, if any
             start = end + 1
@@ -235,14 +220,14 @@ class WordProblem:
         return not self._reduce(list(word), 0, None)[0]
 
     def equal(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        w = list(u)
-        _merge(w, invert(v))
+        w = [*u, *invert(v)]
+        _cancel_seam(w, len(u))
         return self.is_trivial(w)
 
     def _equal_raw(self, u: Sequence[int], v: Sequence[int]) -> bool:
         """Equality without letter validation (internal, trusted words)."""
-        w = list(u)
-        _merge(w, invert(v))
+        w = [*u, *invert(v)]
+        _cancel_seam(w, len(u))
         return not self._reduce(w, 0, None)[0]
 
     def to_base(self, word: Sequence[int]):
@@ -284,7 +269,9 @@ class WordProblem:
             if x < 0:
                 # pending t^-1 = t^-1 phi(pending)
                 out.append(x)
-                _check_budget(len(out) + len(pending) * endo.length)
+                check_budget(len(out) + len(pending) * endo.length,
+                             REDUCE_LETTER_CAP, "a reduction would hold",
+                             "letters at one level")
                 img = endo.append_image(pending, [])
                 pending = (img if min(pending, default=1) > 0
                            else list(free_reduce(img)))
@@ -475,6 +462,10 @@ class _Dedup:
 
 def _ball_impl(spec: GroupSpec, radius: int, cap: int | None,
                heuristic_keys: bool) -> BallRecord:
+    if radius < 0:
+        raise InvalidInputError("radius must be nonnegative")
+    if cap is not None and cap < 0:
+        raise InvalidInputError("cap must be nonnegative")
     wp = spec.word_problem()
     dedup = _Dedup(wp, heuristic_keys)
     gens = [g for g in range(1, wp.n_gens + 1)]
@@ -489,8 +480,8 @@ def _ball_impl(spec: GroupSpec, radius: int, cap: int | None,
         nxt: list[Word] = []
         for w in frontier:
             for g in moves:
-                cand = list(w)
-                _merge(cand, (g,))
+                cand = [*w, g]
+                _cancel_seam(cand, len(w))
                 red, survived = wp._reduce(cand, 0, None)
                 red = tuple(red)
                 if dedup.add(red):
@@ -513,8 +504,6 @@ def ball(spec: GroupSpec, radius: int, cap: int | None = 1_000_000) -> BallRecor
     deduplicated by invariant-key hashing with oracle confirmation.
     Geodesic lengths are BFS depths.  A cap overflow returns a partial
     record flagged incomplete."""
-    if radius < 0:
-        raise InvalidInputError("radius must be nonnegative")
     return _ball_impl(spec, radius, cap, heuristic_keys=True)
 
 
@@ -523,8 +512,6 @@ def ball_exhaustive(spec: GroupSpec, radius: int,
     """Independent enumeration for cross-checks: no exact-representative
     shortcut, every candidate is oracle-compared within its proven-
     invariant class (retraction image + abelianization)."""
-    if radius < 0:
-        raise InvalidInputError("radius must be nonnegative")
     return _ball_impl(spec, radius, cap, heuristic_keys=False)
 
 

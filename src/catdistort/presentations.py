@@ -23,10 +23,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    CapExceededError,
     ConstructionError,
     InvalidParameterError,
     SpecParseError,
+    check_budget,
 )
 from .folding import PositiveEndomorphism, check_image_family
 from .words import (
@@ -48,17 +48,6 @@ CERTIFY_EDGE_LIMIT = 500_000
 #: cap on the letters a block, chain or double allocates for its square
 #: words and image rows; admits G(289, 4913, 17), about 48.4 M letters
 BUILD_LETTER_CAP = 1 << 26
-
-
-def _check_build_letters(structure: str, n_letters: int) -> None:
-    """Raise :class:`CapExceededError` before a construction allocates
-    more than :data:`BUILD_LETTER_CAP` letters.  A count of 2^62 letters
-    or more is reported as such, never printed in full."""
-    if n_letters > BUILD_LETTER_CAP:
-        raise CapExceededError(
-            f"{structure} needs "
-            f"{n_letters if n_letters < 1 << 62 else 'over 2^62'} letters of "
-            f"square words and images, above the cap {BUILD_LETTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +264,8 @@ def build_block(p: BlockParams, certify: bool | None = None) -> GroupSpec:
     past ``CERTIFY_EDGE_LIMIT`` unless ``certify`` forces it).
     """
     n, m, L = p.n, p.m, p.L
-    _check_build_letters("block", m * m + m * n * L)
+    check_budget(m * m + m * n * L, BUILD_LETTER_CAP, "block needs",
+                 "letters of square words and images")
     gens = [Gen("a", j) for j in range(1, m + 1)]
     gens += [Gen("t", i) for i in range(1, n + 1)]
     alphabet = Alphabet(gens)
@@ -302,8 +292,9 @@ def build_chain(l: int, L: int = 14, certify: bool | None = None) -> GroupSpec:
     if L < 2:
         raise InvalidParameterError("image length L must be at least 2")
     # level 31 alone needs 2 L^62 >= 2^63 letters, so the sum stops there
-    _check_build_letters(
-        "chain", 2 * sum(L ** (2 * k) for k in range(1, min(l, 31) + 1)))
+    check_budget(2 * sum(L ** (2 * k) for k in range(1, min(l, 31) + 1)),
+                 BUILD_LETTER_CAP, "chain needs",
+                 "letters of square words and images")
     gens = [Gen("t", 1)]
     level_ids: list[tuple[int, ...]] = []
     nxt = 2
@@ -349,7 +340,8 @@ def build_double(n: int, m: int, L: int = 14,
             "constraint " + " and ".join(violated) +
             f" violated (n={n}, m={m}, L={L})"
         )
-    _check_build_letters("double", m * m + m * n * L + n * n + m * L)
+    check_budget(m * m + m * n * L + n * n + m * L, BUILD_LETTER_CAP,
+                 "double needs", "letters of square words and images")
     gens = [Gen("a", j) for j in range(1, m + 1)]
     gens += [Gen("t", i) for i in range(1, n + 1)]
     gens.append(Gen("s", 1))

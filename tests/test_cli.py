@@ -21,16 +21,17 @@ def run(args):
     return code, out.getvalue()
 
 
-def run_capped(args):
-    """Run the CLI in a child whose address space is capped, so that a
-    missing budget fails the test instead of exhausting memory."""
+def run_capped(args, limit_mb=1536, stdout=subprocess.PIPE):
+    """Run the CLI in a child whose address space is capped at
+    ``limit_mb``, so that a missing budget fails the test instead of
+    exhausting memory."""
     import resource
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
 
     return subprocess.run([sys.executable, "-m", "catdistort.cli"] + args,
-                          capture_output=True, text=True,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
                           preexec_fn=limit, timeout=120)
 
 
@@ -252,6 +253,13 @@ class TestBall:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: radius must be nonnegative\n"
 
+    @pytest.mark.parametrize("cmd,cap", [("ball", "-1"), ("distortion", "-5")])
+    def test_negative_cap(self, capsys, cmd, cap):
+        code, out = run([cmd, "--block", "1", "2", "2", "--radius", "2",
+                         "--cap", cap])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: cap must be nonnegative\n"
+
     def test_cap_exit_code(self):
         code, out = run(["ball", "--block", "1", "2", "2", "--radius", "4",
                          "--cap", "10"])
@@ -325,6 +333,23 @@ class TestExportDot:
         assert code == 0
         assert out.startswith("graph link")
 
+    @pytest.mark.parametrize("flag", ["--level", "--index"])
+    @pytest.mark.parametrize("value", ["3", "9", "-1"])
+    def test_stallings_out_of_range(self, capsys, flag, value):
+        # block(1, 2, 2) has one level with one map
+        code, out = run(["export-dot", "--block", "1", "2", "2",
+                         "--what", "stallings", flag, value])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {flag} {value} outside 0..0\n")
+
+    def test_link_streams_under_600_mb(self):
+        # a 94 MB link whose text, held whole, peaked at 864 MB
+        out = run_capped(["export-dot", "--double", "121", "1331", "11",
+                          "--what", "link"], limit_mb=600,
+                         stdout=subprocess.DEVNULL)
+        assert out.returncode == 0 and out.stderr == ""
+
 
 class TestRemovedFlags:
     """``--scheme`` admitted one value and ``--seed`` was only echoed
@@ -362,6 +387,7 @@ SEEDS = [
     ["distortion", "--block", "1", "2", "2", "--radius", "1"],
     ["witness", "--block", "1", "2", "2", "--n", "2"],
     ["export-dot", "--block", "1", "2", "2", "--what", "link"],
+    ["export-dot", "--block", "1", "2", "2", "--what", "stallings"],
 ]
 
 
@@ -524,6 +550,10 @@ class TestGoldenBytes:
         (["build", "--block", "1", "2", "2"], "build_block_1_2_2.json"),
         (["witness", "--double", "9", "27", "3", "--k", "2"],
          "witness_double_9_27_3_k2.json"),
+        (["export-dot", "--chain", "2", "5", "--what", "link"],
+         "chain_2_5_link.dot"),
+        (["export-dot", "--chain", "2", "5", "--what", "link",
+          "--boundary-only"], "chain_2_5_link_boundary.dot"),
     ])
     def test_same_bytes(self, tmp_path, args, name):
         out = tmp_path / name
@@ -552,6 +582,16 @@ def test_paper_chain_verify_peak(tmp_path):
     assert hashlib.md5(rpt.read_bytes()).hexdigest() == \
         "5775782a0a2952589d2d66f8d28c46f2"
     assert peak_mb < 900
+
+
+@pytest.mark.ladder
+def test_paper_double_link_export_streams():
+    """``export-dot --double 196 2744 14 --what link``, 13.5 M edges, in
+    a child capped at 1.5 GB: it streams the text and exits 0.  Opt-in
+    (``pytest -m ladder``): about 30 s."""
+    out = run_capped(["export-dot", "--double", "196", "2744", "14",
+                      "--what", "link"], stdout=subprocess.DEVNULL)
+    assert out.returncode == 0 and out.stderr == ""
 
 
 @pytest.mark.ladder

@@ -11,7 +11,6 @@ from catdistort.navigator import (
     REDUCE_LETTER_CAP,
     ReductionTrace,
     TraceStep,
-    _merge,
     ball,
     ball_exhaustive,
     britton_reduce,
@@ -301,6 +300,11 @@ class TestBall:
         rec = ball(b22, 0)
         assert rec.sizes == [1] and rec.elements[0].word == ()
 
+    @pytest.mark.parametrize("fn", [ball, ball_exhaustive, measure_distortion])
+    def test_negative_cap_refused(self, b22, fn):
+        with pytest.raises(InvalidInputError, match="cap must be nonnegative"):
+            fn(b22, 2, cap=-1)
+
     def test_cap_flags_incomplete(self, b22):
         rec = ball(b22, 4, cap=20)
         assert rec.incomplete
@@ -363,6 +367,16 @@ class TestMeasureDistortion:
 
 
 # -- the reducer's survival report, against a full rescan --------------------
+
+
+def _merge(dst, src):
+    """Append a reduced word to a reduced word, cancelling at the seam;
+    the oracle's own, so that it does not run the reducer's seam code."""
+    i, n = 0, len(src)
+    while dst and i < n and dst[-1] == -src[i]:
+        dst.pop()
+        i += 1
+    dst.extend(src[i:])
 
 
 def _oracle_accept(wp, lvl, forward, u):
